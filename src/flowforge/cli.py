@@ -29,8 +29,9 @@ from .geometry import build_scene, draw_dimension, export_scene, read_stl
 from .geometry.export import read_scene_yaml
 from .orchestrate import (discover_pairs, materialize_case, plan_lanes,
                           read_manifest, submit, synthetic_solver)
-from .resample import (FootprintSpec, KernelSpec, default_k_for_grid,
-                       interpolate, make_target_grid, structured_source)
+from .resample import (FootprintSpec, KernelSpec, ResampleOperator, apply,
+                       build_operator, default_k_for_grid, make_target_grid,
+                       sample_values)
 from .sampling import GeneratorState, freeze_dimension, load_state, save_state
 from .sdf import MeshAccel, voxelize
 
@@ -280,6 +281,17 @@ def _cmd_resample(args) -> int:
         else:
             export_npy(values, Path(f"{stem_path}_{suffix}.npy"))
 
+    # neighbor sets and weights depend only on the source grid: build them
+    # once per grid and reuse them for every velocity and SDF field on it
+    operators: dict[GridSpec, ResampleOperator] = {}
+
+    def resample_field(field: DenseField):
+        operator = operators.get(field.grid)
+        if operator is None:
+            operator = operators[field.grid] = build_operator(
+                field.grid.sample_positions(), target, kernel, footprint)
+        return apply(operator, sample_values(field))
+
     done = 0
     for case_id, entry in ordered:
         case_dir = cases_dir / case_id
@@ -292,8 +304,7 @@ def _cmd_resample(args) -> int:
         if policy["prefilter"]:
             from .resample import box_prefilter
             vel_field = box_prefilter(vel_field, target)
-        source = structured_source(vel_field)
-        field, summary = interpolate(source, target, kernel, footprint)
+        field, summary = resample_field(vel_field)
         stem = out_dir / entry["stem"]
         write_components(stem, "velocity", field.values)
 
@@ -302,10 +313,8 @@ def _cmd_resample(args) -> int:
         if sdf_path.exists():
             sdf_meta = read_field_sidecar(case_dir / "sdf.yaml")
             sdf_grid = GridSpec.from_dict(sdf_meta)
-            sdf_src = structured_source(
+            phi_field, phi_summary = resample_field(
                 DenseField(sdf_grid, load_npy(sdf_path)))
-            phi_field, phi_summary = interpolate(sdf_src, target, kernel,
-                                                 footprint)
             export_npy(phi_field.values, Path(str(stem) + "_sdf.npy"))
             mask = (phi_field.values > 0).astype(np.uint8)
             np.save(Path(str(stem) + "_mask.npy"), mask)

@@ -7,6 +7,12 @@ or every source inside a fixed radius.  Kernels: distance-linear with
 compact support, Gaussian, Shepard inverse-distance power, Voronoi
 (nearest neighbor), and an anisotropic ellipsoidal Gaussian.
 
+Neighbor sets and kernel weights depend only on where the sources are and
+on the target grid, never on the source values.  They are therefore built
+once per source grid (:func:`build_operator`) and reused for every field
+sampled on that grid (:func:`apply`); :func:`interpolate` is the one-shot
+form of the two.
+
 Normalized weights reproduce constant fields exactly for every
 kernel/footprint combination.  When all weights vanish (or a radius
 footprint is empty) the sample falls back to the value of the nearest
@@ -116,14 +122,15 @@ def default_k_for_grid(dims) -> int:
 class SpatialIndex:
     """Exact k-NN and radius queries (results identical to a linear scan)."""
 
-    def __init__(self, points: SourcePoints):
-        if len(points.positions) == 0:
+    def __init__(self, positions):
+        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        if len(positions) == 0:
             raise FieldError("cannot index an empty point set")
-        self.points = points
-        self.tree = cKDTree(points.positions)
+        self.positions = positions
+        self.tree = cKDTree(positions)
 
     def knn(self, queries: np.ndarray, k: int):
-        k = min(k, len(self.points.positions))
+        k = min(k, len(self.positions))
         dist, idx = self.tree.query(np.atleast_2d(queries), k=k, workers=1)
         if k == 1:
             dist, idx = dist[:, None], idx[:, None]
@@ -133,52 +140,16 @@ class SpatialIndex:
         return self.tree.query_ball_point(np.asarray(query), r, workers=1)
 
 
-def build_index(points: SourcePoints) -> SpatialIndex:
-    return SpatialIndex(points)
+def build_index(positions) -> SpatialIndex:
+    return SpatialIndex(positions)
 
 
 # ---------------------------------------------------------------------------
-# Kernel weights
-# ---------------------------------------------------------------------------
-def kernel_weight(spec: KernelSpec, offset, radius: float | None = None):
-    """Weight of a source at the given offset from the target sample.
-
-    ``radius`` is the footprint support: the distance to the k-th neighbor
-    in n_closest mode, or the fixed footprint radius.  Voronoi selection
-    happens at footprint level; its weight here is the nearest-neighbor
-    indicator limit and is reported as 1.
-    """
-    offset = np.asarray(offset, dtype=np.float64)
-    single = offset.ndim == 1
-    offset = np.atleast_2d(offset)
-    dist = np.linalg.norm(offset, axis=-1)
-
-    if spec.kind == "linear":
-        if radius is None or radius <= 0:
-            w = (dist == 0).astype(np.float64)
-        else:
-            w = np.maximum(0.0, 1.0 - dist / radius)
-    elif spec.kind == "gaussian":
-        sigma = 1.0 / spec.sharpness
-        w = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
-    elif spec.kind == "shepard":
-        w = (dist + spec.eps) ** (-spec.power)
-    elif spec.kind == "voronoi":
-        w = np.ones_like(dist)
-    else:  # ellipsoidal_gaussian
-        ecc = np.asarray(spec.eccentricity, dtype=np.float64)
-        scale = radius if radius and radius > 0 else 1.0
-        sigma = ecc / np.cbrt(np.prod(ecc)) * scale
-        w = np.exp(-0.5 * ((offset / sigma) ** 2).sum(axis=-1))
-    return float(w[0]) if single else w
-
-
-# ---------------------------------------------------------------------------
-# Interpolation
+# Neighbor sets
 # ---------------------------------------------------------------------------
 def _neighbor_sets_n_closest(index: SpatialIndex, targets: np.ndarray, k: int):
     """Tie-inclusive k-nearest sets as padded (dist, idx, valid) arrays."""
-    n_src = len(index.points.positions)
+    n_src = len(index.positions)
     k_eff = min(k, n_src)
     buffer = min(n_src, k_eff + _TIE_BUFFER)
     dist, idx = index.knn(targets, buffer)
@@ -203,7 +174,7 @@ def _neighbor_sets_n_closest(index: SpatialIndex, targets: np.ndarray, k: int):
         new_idx[:, :buffer] = idx
         for r, members in zip(rows, lists):
             members = np.asarray(sorted(members), dtype=np.int64)
-            d = np.linalg.norm(index.points.positions[members] - targets[r], axis=1)
+            d = np.linalg.norm(index.positions[members] - targets[r], axis=1)
             order = np.lexsort((members, d))
             members, d = members[order], d[order]
             new_dist[r, :] = np.inf
@@ -226,7 +197,7 @@ def _neighbor_sets_radius(index: SpatialIndex, targets: np.ndarray, r: float):
         if not members:
             continue
         members = np.asarray(sorted(members), dtype=np.int64)
-        d = np.linalg.norm(index.points.positions[members] - targets[row], axis=1)
+        d = np.linalg.norm(index.positions[members] - targets[row], axis=1)
         order = np.lexsort((members, d))
         members, d = members[order], d[order]
         dist[row, :len(members)] = d
@@ -235,83 +206,140 @@ def _neighbor_sets_radius(index: SpatialIndex, targets: np.ndarray, r: float):
     return dist, idx, valid, counts
 
 
-def interpolate(points: SourcePoints, target: GridSpec, kernel: KernelSpec,
-                footprint: FootprintSpec,
-                index: SpatialIndex | None = None) -> tuple[DenseField, dict]:
-    """Resample source samples onto the target grid.
+# ---------------------------------------------------------------------------
+# Interpolation operator
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class ResampleOperator:
+    """Footprints and kernel weights from one source layout to one target grid.
 
+    Rows are target samples in ``GridSpec.sample_positions`` order.  The
+    weights keep the padded footprint width and are not normalized, so
+    :func:`apply` performs exactly the arithmetic of a one-shot
+    interpolation.
+    """
+    target: GridSpec
+    kernel: str
+    footprint: str
+    n_sources: int
+    anchor: np.ndarray               # (T,) nearest footprint member
+    idx: np.ndarray | None           # (T, W) footprint ids; None for voronoi
+    weights: np.ndarray | None       # (T, W), zero outside the footprint
+    wsum: np.ndarray | None          # (T,) row sums of ``weights``
+    ok: np.ndarray | None            # rows averaged over their footprint
+    exact_hit: np.ndarray | None     # rows on a source: take it unchanged
+    hole_rows: np.ndarray            # rows with no usable weight ...
+    hole_sources: np.ndarray         # ... and the nearest source each takes
+
+    @property
+    def holes(self) -> int:
+        return len(self.hole_rows)
+
+
+def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
+                   footprint: FootprintSpec) -> ResampleOperator:
+    """Neighbor search and kernel weights for resampling onto ``target``.
+
+    Depends only on where the sources are, never on their values: one
+    operator serves every field sampled at ``source_positions``.
+    """
+    index = build_index(source_positions)
+    targets = target.sample_positions()
+
+    if footprint.mode == "n_closest":
+        dist, idx, valid, radii = _neighbor_sets_n_closest(
+            index, targets, footprint.k)
+    else:
+        dist, idx, valid, _ = _neighbor_sets_radius(
+            index, targets, footprint.radius)
+        radii = np.full(len(targets), float(footprint.radius))
+
+    # rows are sorted by (distance, source id) with the footprint as a
+    # prefix, so column 0 is the nearest member and equidistant ties break
+    # to the smallest id
+    has_any = valid[:, 0]
+    anchor = np.where(has_any, idx[:, 0], 0)
+
+    if kernel.kind == "voronoi":
+        # nearest source wins
+        idx = weights = wsum = ok = exact_hit = None
+        covered = has_any
+    else:
+        offsets = index.positions[idx] - targets[:, None, :]
+        weights = _batch_weights(kernel, offsets, dist, radii)
+        weights = np.where(valid, weights, 0.0)
+        wsum = weights.sum(axis=1)
+        ok = (wsum > 0) & np.isfinite(wsum) & has_any
+        exact_hit = has_any & (dist[:, 0] == 0.0)
+        covered = ok | exact_hit
+
+    # all weights vanished (e.g. linear kernel with every d == R, or an
+    # empty radius footprint): nearest-neighbor fallback, flagged
+    hole_rows = np.flatnonzero(~covered)
+    hole_sources = np.zeros(0, dtype=np.int64)
+    if len(hole_rows):
+        _, nn = index.knn(targets[hole_rows], 1)
+        hole_sources = nn[:, 0]
+
+    return ResampleOperator(
+        target=target, kernel=kernel.kind, footprint=footprint.mode,
+        n_sources=len(index.positions), anchor=anchor, idx=idx,
+        weights=weights, wsum=wsum, ok=ok, exact_hit=exact_hit,
+        hole_rows=hole_rows, hole_sources=hole_sources)
+
+
+def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
+    """Resample one field's source values through a built operator.
+
+    ``values`` holds one row per source position, with 1 or 3 components.
     Returns the dense field (scalar or 3-component, channels first) and a
     summary dict with the hole count and the effective footprint.
     """
-    if index is None:
-        index = build_index(points)
-    targets = target.sample_positions()
-    n_targets = len(targets)
-    values = points.values
-    n_comp = values.shape[1]
-
-    if footprint.mode == "n_closest":
-        dist, idx, valid, support = _neighbor_sets_n_closest(
-            index, targets, footprint.k)
-        radii = support
-    else:
-        dist, idx, valid, counts = _neighbor_sets_radius(
-            index, targets, footprint.radius)
-        radii = np.full(n_targets, float(footprint.radius))
-
-    if kernel.kind == "voronoi":
-        # nearest source wins; equidistant ties break to the smallest id
-        out = np.empty((n_targets, n_comp))
-        d0 = np.where(valid, dist, np.inf)
-        order = np.lexsort((np.where(valid, idx, np.iinfo(np.int64).max), d0),
-                           axis=1)
-        first = order[:, 0]
-        rows = np.arange(n_targets)
-        nearest = idx[rows, first]
-        empty = ~valid[rows, first]
-        if empty.any():
-            _, nn = index.knn(targets[empty], 1)
-            nearest[empty] = nn[:, 0]
-        out[:] = values[nearest]
-        holes = int(empty.sum())
-        field_values = _to_field(out, target, n_comp)
-        return DenseField(target, field_values), {
-            "holes": holes, "kernel": kernel.kind, "footprint": footprint.mode}
-
-    offsets = points.positions[idx] - targets[:, None, :]
-    weights = _batch_weights(kernel, offsets, dist, radii)
-    weights = np.where(valid, weights, 0.0)
-    wsum = weights.sum(axis=1)
-
-    # nearest (after the (distance, id) sort) anchors a shifted accumulation:
-    # sum w (f - f0) / sum w + f0 is algebraically the weighted average but
-    # reproduces constant fields bit-exactly
-    has_any = valid[:, 0]
-    anchor_idx = np.where(has_any, idx[:, 0], 0)
-    anchor = values[anchor_idx]
-    shifted = values[idx] - anchor[:, None, :]
-    numer = np.einsum("tn,tnc->tc", weights, shifted)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[:, None]
+    if len(values) != operator.n_sources:
+        raise FieldError(f"operator built for {operator.n_sources} sources, "
+                         f"got {len(values)} values")
+    anchor = values[operator.anchor]
     out = anchor.copy()
-    ok = (wsum > 0) & np.isfinite(wsum) & has_any
-    out[ok] += numer[ok] / wsum[ok, None]
 
-    exact_hit = has_any & (dist[:, 0] == 0.0)
-    out[exact_hit] = anchor[exact_hit]
+    if operator.weights is not None:
+        # nearest anchors a shifted accumulation: sum w (f - f0) / sum w + f0
+        # is algebraically the weighted average but reproduces constant
+        # fields bit-exactly
+        ok, wsum = operator.ok, operator.wsum
+        shifted = values[operator.idx] - anchor[:, None, :]
+        numer = np.einsum("tn,tnc->tc", operator.weights, shifted)
+        out[ok] += numer[ok] / wsum[ok, None]
+        out[operator.exact_hit] = anchor[operator.exact_hit]
 
-    holes = int((~ok & ~exact_hit).sum())
-    if holes:
-        # all weights vanished (e.g. linear kernel with every d == R, or an
-        # empty radius footprint): nearest-neighbor fallback, flagged
-        rows = np.flatnonzero(~ok & ~exact_hit)
-        _, nn = index.knn(targets[rows], 1)
-        out[rows] = values[nn[:, 0]]
+    out[operator.hole_rows] = values[operator.hole_sources]
+    field_values = _to_field(out, operator.target, values.shape[1])
+    return DenseField(operator.target, field_values), {
+        "holes": operator.holes, "kernel": operator.kernel,
+        "footprint": operator.footprint}
 
-    field_values = _to_field(out, target, n_comp)
-    return DenseField(target, field_values), {
-        "holes": holes, "kernel": kernel.kind, "footprint": footprint.mode}
+
+def interpolate(points: SourcePoints, target: GridSpec, kernel: KernelSpec,
+                footprint: FootprintSpec) -> tuple[DenseField, dict]:
+    """Resample source samples onto the target grid in one call.
+
+    Builds a single-use operator; to resample several fields that share
+    source positions, call :func:`build_operator` once and :func:`apply`
+    per field.
+    """
+    operator = build_operator(points.positions, target, kernel, footprint)
+    return apply(operator, points.values)
 
 
 def _batch_weights(kernel: KernelSpec, offsets, dist, radii):
+    """Kernel weight of every padded footprint entry.
+
+    ``radii`` is each row's footprint support: the distance to the k-th
+    neighbor in n_closest mode, or the fixed footprint radius.  Voronoi
+    selection happens at footprint level and never reaches this function.
+    """
     if kernel.kind == "linear":
         r = radii[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -355,14 +383,18 @@ def make_target_grid(origin, extent, cells) -> GridSpec:
     return GridSpec(origin=tuple(origin), spacing=spacing, dims=dims)
 
 
+def sample_values(field: DenseField) -> np.ndarray:
+    """A dense field's samples as (n, components) rows, in the order of
+    ``field.grid.sample_positions()``."""
+    if field.components == 1:
+        return field.values.reshape(-1, 1)
+    return np.moveaxis(field.values, 0, -1).reshape(-1, 3)
+
+
 def structured_source(field: DenseField) -> SourcePoints:
     """Treat a dense field's samples as interpolation sources."""
-    positions = field.grid.sample_positions()
-    if field.components == 1:
-        vals = field.values.reshape(-1, 1)
-    else:
-        vals = np.moveaxis(field.values, 0, -1).reshape(-1, 3)
-    return SourcePoints(positions=positions, values=vals,
+    return SourcePoints(positions=field.grid.sample_positions(),
+                        values=sample_values(field),
                         origin_tag="structured", grid=field.grid)
 
 

@@ -1,11 +1,13 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 import yaml
 
+import flowforge.cli
 from flowforge.cli import main
-from flowforge.fields import load_npy
+from flowforge.fields import export_npy, load_npy
 
 SMALL_OVERRIDES = [
     "repeat=2", "seed=77", "sampling_mode=sobol",
@@ -161,6 +163,70 @@ output_npy = 1
                     "resample_policy.prefilter=true",
                     "--cases", pipeline["cases"], "--out", out]) == 0
         assert (out / "object_0_velocity.npy").exists()
+
+
+class TestResampleOperatorReuse:
+    """One interpolation operator per source grid, shared by every field."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = flowforge.cli.build_operator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowforge.cli, "build_operator", counting)
+        return calls
+
+    @pytest.mark.parametrize("extra", [[], ["resample_policy.prefilter=true"]])
+    def test_shared_grid_builds_once(self, pipeline, tmp_path, builds, extra):
+        out = tmp_path / "tensors"
+        assert run(["resample", *SMALL_OVERRIDES, *extra,
+                    "--cases", pipeline["cases"], "--out", out]) == 0
+        assert len(list(out.glob("*_resample.yaml"))) == 2
+        assert len(list(out.glob("*_sdf.npy"))) == 2
+        assert len(builds) == 1
+
+    def test_second_grid_gets_its_own_operator(self, pipeline, tmp_path,
+                                               builds):
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline["cases"], cases)
+        index = yaml.safe_load((cases / "index.yaml").read_text())
+        victim = sorted(index, key=lambda c: index[c]["stem"])[0]
+        # give one case's SDF a coarser grid than its velocity field
+        meta_path = cases / victim / "sdf.yaml"
+        meta = yaml.safe_load(meta_path.read_text())
+        coarse = load_npy(cases / victim / "sdf.npy")[::2, ::2, ::2]
+        meta["dims"] = list(coarse.shape)
+        meta["spacing"] = [2 * h for h in meta["spacing"]]
+        meta_path.write_text(yaml.safe_dump(meta, sort_keys=True))
+        export_npy(coarse, cases / victim / "sdf.npy")
+
+        both = tmp_path / "both"
+        assert run(["resample", *SMALL_OVERRIDES, "--cases", cases,
+                    "--out", both]) == 0
+        assert len(builds) == 2
+
+        alone_cases = tmp_path / "alone_cases"
+        shutil.copytree(cases, alone_cases)
+        (alone_cases / "index.yaml").write_text(
+            yaml.safe_dump({victim: index[victim]}, sort_keys=True))
+        alone = tmp_path / "alone"
+        assert run(["resample", *SMALL_OVERRIDES, "--cases", alone_cases,
+                    "--out", alone]) == 0
+
+        stem = index[victim]["stem"]
+        for name in ("velocity.npy", "sdf.npy", "mask.npy", "resample.yaml"):
+            assert ((both / f"{stem}_{name}").read_bytes()
+                    == (alone / f"{stem}_{name}").read_bytes())
+        # the untouched case matches the shared-grid run byte for byte
+        for path in both.glob("*"):
+            if path.name != "provenance.json" and not path.name.startswith(
+                    f"{stem}_"):
+                assert path.read_bytes() == (
+                    pipeline["tensors"] / path.name).read_bytes()
 
 
 class TestSdfCompletedFilter:

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from _oracles import brute_interpolate
 from flowforge.errors import FieldError
-from flowforge.resample import (FootprintSpec, KernelSpec, SourcePoints,
-                                build_index, default_k_for_grid, interpolate,
-                                kernel_weight, make_target_grid,
-                                read_csv_source, structured_source,
-                                tensor_bytes)
+from flowforge.resample import (_TIE_BUFFER, FootprintSpec, KernelSpec,
+                                SourcePoints, _batch_weights,
+                                _neighbor_sets_n_closest,
+                                _neighbor_sets_radius, _to_field, apply,
+                                build_index, build_operator,
+                                default_k_for_grid, interpolate,
+                                make_target_grid, read_csv_source,
+                                structured_source, tensor_bytes)
 from flowforge.fields import DenseField, GridSpec
 
 ALL_KERNELS = ["linear", "gaussian", "shepard", "voronoi",
@@ -34,7 +37,7 @@ def flat(field: DenseField):
 class TestSpatialIndex:
     def test_knn_at_source_is_zero(self):
         pts = lattice_sources(4)
-        index = build_index(pts)
+        index = build_index(pts.positions)
         d, i = index.knn(pts.positions[5], 1)
         assert d[0, 0] == 0.0 and i[0, 0] == 5
 
@@ -44,7 +47,7 @@ class TestSpatialIndex:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 10, size=(500, 3))
         pts = SourcePoints(pos, np.zeros(len(pos)))
-        index = build_index(pts)
+        index = build_index(pts.positions)
         queries = rng.uniform(0, 10, size=(100, 3))
         d, i = index.knn(queries, 4)
         for q, drow, irow in zip(queries, d, i):
@@ -55,30 +58,38 @@ class TestSpatialIndex:
 
     def test_radius_zero_only_coincident(self):
         pts = lattice_sources(4)
-        index = build_index(pts)
+        index = build_index(pts.positions)
         hits = index.radius(pts.positions[3], 0.0)
         assert hits == [3]
 
     def test_empty_input_rejected(self):
         with pytest.raises(FieldError, match="empty"):
-            build_index(SourcePoints(np.zeros((0, 3)), np.zeros((0, 1))))
+            build_index(np.zeros((0, 3)))
+
+
+def single_weight(spec, offset, radius=0.0):
+    """``_batch_weights`` of one source at ``offset`` from one target, with
+    footprint support ``radius``."""
+    offsets = np.asarray(offset, dtype=np.float64).reshape(1, 1, 3)
+    dist = np.linalg.norm(offsets, axis=-1)
+    return _batch_weights(spec, offsets, dist, np.array([radius]))[0, 0]
 
 
 class TestKernelWeight:
     def test_linear_formula(self):
         spec = KernelSpec("linear")
-        assert kernel_weight(spec, (0, 0, 0), 2.0) == 1.0
-        assert kernel_weight(spec, (2, 0, 0), 2.0) == 0.0
-        assert kernel_weight(spec, (1, 0, 0), 2.0) == 0.5
+        assert single_weight(spec, (0, 0, 0), 2.0) == 1.0
+        assert single_weight(spec, (2, 0, 0), 2.0) == 0.0
+        assert single_weight(spec, (1, 0, 0), 2.0) == 0.5
 
     def test_shepard_formula(self):
         spec = KernelSpec("shepard", power=2.0, eps=0.0)
-        assert kernel_weight(spec, (2, 0, 0)) == pytest.approx(0.25)
+        assert single_weight(spec, (2, 0, 0)) == pytest.approx(0.25)
 
     def test_gaussian_at_origin(self):
         for sharpness in (0.5, 1.0, 2.0, 7.0):
             spec = KernelSpec("gaussian", sharpness=sharpness)
-            assert kernel_weight(spec, (0, 0, 0)) == 1.0
+            assert single_weight(spec, (0, 0, 0)) == 1.0
 
 
 class TestInterpolate:
@@ -128,7 +139,7 @@ class TestInterpolate:
         target = make_target_grid((0.3, 0.3, 0.3), (10, 10, 10), (4, 4, 4))
         field, _ = interpolate(pts, target, KernelSpec("voronoi"),
                                FootprintSpec("n_closest", k=5))
-        index = build_index(pts)
+        index = build_index(pts.positions)
         d, i = index.knn(target.sample_positions(), 1)
         np.testing.assert_array_equal(field.values.ravel(),
                                       pts.values[i[:, 0], 0])
@@ -173,6 +184,151 @@ class TestInterpolate:
                                KernelSpec("shepard"),
                                FootprintSpec("n_closest", k=2))
         assert field.values.ravel()[0] == pytest.approx(2.5)
+
+
+def fused_interpolate(points, target, kernel, footprint):
+    """Neighbor search, weights and accumulation in one pass, the way
+    ``interpolate`` computed them before the build/apply split.  The split
+    must reproduce these bytes exactly."""
+    index = build_index(points.positions)
+    targets = target.sample_positions()
+    n_targets = len(targets)
+    values = points.values
+    n_comp = values.shape[1]
+
+    if footprint.mode == "n_closest":
+        dist, idx, valid, radii = _neighbor_sets_n_closest(
+            index, targets, footprint.k)
+    else:
+        dist, idx, valid, _ = _neighbor_sets_radius(
+            index, targets, footprint.radius)
+        radii = np.full(n_targets, float(footprint.radius))
+
+    if kernel.kind == "voronoi":
+        d0 = np.where(valid, dist, np.inf)
+        order = np.lexsort((np.where(valid, idx, np.iinfo(np.int64).max), d0),
+                           axis=1)
+        first = order[:, 0]
+        rows = np.arange(n_targets)
+        nearest = idx[rows, first]
+        empty = ~valid[rows, first]
+        if empty.any():
+            _, nn = index.knn(targets[empty], 1)
+            nearest[empty] = nn[:, 0]
+        return _to_field(values[nearest], target, n_comp), int(empty.sum())
+
+    offsets = index.positions[idx] - targets[:, None, :]
+    weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii), 0.0)
+    wsum = weights.sum(axis=1)
+    has_any = valid[:, 0]
+    anchor = values[np.where(has_any, idx[:, 0], 0)]
+    numer = np.einsum("tn,tnc->tc", weights, values[idx] - anchor[:, None, :])
+    out = anchor.copy()
+    ok = (wsum > 0) & np.isfinite(wsum) & has_any
+    out[ok] += numer[ok] / wsum[ok, None]
+    exact_hit = has_any & (dist[:, 0] == 0.0)
+    out[exact_hit] = anchor[exact_hit]
+    rows = np.flatnonzero(~ok & ~exact_hit)
+    if len(rows):
+        _, nn = index.knn(targets[rows], 1)
+        out[rows] = values[nn[:, 0]]
+    return _to_field(out, target, n_comp), len(rows)
+
+
+def circle_tie_sources(n=40):
+    """``n`` sources on the unit circle around the origin, plus one far
+    source so the tie set cannot be the whole input."""
+    angle = 2.0 * np.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(n)])
+    pos = np.vstack([ring, [[5.0, 5.0, 5.0]]])
+    return SourcePoints(pos, np.random.default_rng(3).normal(size=(n + 1, 3)))
+
+
+ORIGIN_ONLY = GridSpec(origin=(0, 0, 0), spacing=(1, 1, 1), dims=(1, 1, 1))
+FOUR_TIED = SourcePoints(
+    np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float),
+    np.arange(12, dtype=float).reshape(4, 3))
+
+EQUIVALENCE_CASES = {
+    # sources on a lattice, targets partly on it (exact hits, ties) and
+    # partly far outside it (empty radius footprints)
+    "lattice": (lambda: lattice_sources(6, extent=10.0),
+                make_target_grid((-6, 0, 0), (16, 10, 10), (8, 5, 5)),
+                FootprintSpec("n_closest", k=6),
+                FootprintSpec("radius", radius=2.5)),
+    "unstructured": (lambda: SourcePoints(
+                         np.random.default_rng(11).uniform(0, 9, (300, 3)),
+                         np.random.default_rng(12).normal(size=(300, 3))),
+                     make_target_grid((-2, 1, 1), (12, 7, 7), (6, 5, 5)),
+                     FootprintSpec("n_closest", k=5),
+                     FootprintSpec("radius", radius=1.5)),
+    # every footprint member at d == R: the linear kernel leaves a hole
+    "four_tied": (lambda: FOUR_TIED, ORIGIN_ONLY,
+                  FootprintSpec("n_closest", k=2),
+                  FootprintSpec("radius", radius=1.0)),
+    # 40 equidistant sources: more ties than k + _TIE_BUFFER
+    "tie_overflow": (circle_tie_sources, ORIGIN_ONLY,
+                     FootprintSpec("n_closest", k=2),
+                     FootprintSpec("radius", radius=1.5)),
+    # one source far from every target: radius footprints are all empty
+    "empty_radius": (lambda: SourcePoints(np.array([[0.0, 0.0, 0.0]]),
+                                          np.array([[7.0, -1.0, 2.0]])),
+                     make_target_grid((3, 3, 3), (10, 10, 10), (2, 2, 2)),
+                     FootprintSpec("n_closest", k=3),
+                     FootprintSpec("radius", radius=1.0)),
+}
+
+
+class TestOperatorEquivalence:
+    """``apply(build_operator(...))`` is byte-identical to the fused pass."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    @pytest.mark.parametrize("mode", ["n_closest", "radius"])
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    def test_matches_fused_pass(self, kind, mode, case):
+        make_points, target, knn_fp, radius_fp = EQUIVALENCE_CASES[case]
+        pts = make_points()
+        kernel = KernelSpec(kind)
+        fp = knn_fp if mode == "n_closest" else radius_fp
+        operator = build_operator(pts.positions, target, kernel, fp)
+        # one operator serves a 3-component and a 1-component field
+        for values in (pts.values, pts.values[:, 1]):
+            field, summary = apply(operator, values)
+            want, holes = fused_interpolate(
+                SourcePoints(pts.positions, values), target, kernel, fp)
+            assert field.values.dtype == want.dtype
+            assert np.array_equal(field.values, want)
+            assert summary["holes"] == holes
+        one_shot, _ = interpolate(pts, target, kernel, fp)
+        again, _ = apply(operator, pts.values)
+        assert np.array_equal(one_shot.values, again.values)
+
+    def test_cases_reach_their_edge(self):
+        """The edge cases above really take the paths they are named for."""
+        linear = KernelSpec("linear")
+        four = build_operator(FOUR_TIED.positions, ORIGIN_ONLY, linear,
+                              FootprintSpec("n_closest", k=2))
+        assert four.holes == 1 and four.idx.shape[1] == 4
+        ring = circle_tie_sources()
+        overflow = build_operator(ring.positions, ORIGIN_ONLY, linear,
+                                  FootprintSpec("n_closest", k=2))
+        assert overflow.idx.shape[1] > 2 + _TIE_BUFFER
+        make_points, target, _, radius_fp = EQUIVALENCE_CASES["empty_radius"]
+        empty = build_operator(make_points().positions, target,
+                               KernelSpec("gaussian"), radius_fp)
+        assert empty.holes == target.dims[0] * target.dims[1] * target.dims[2]
+        make_points, target, _, radius_fp = EQUIVALENCE_CASES["lattice"]
+        lattice = build_operator(make_points().positions, target,
+                                 KernelSpec("shepard"), radius_fp)
+        assert 0 < lattice.holes and lattice.exact_hit.any()
+
+    def test_value_count_must_match_operator(self):
+        pts = lattice_sources(4)
+        operator = build_operator(pts.positions, ORIGIN_ONLY,
+                                  KernelSpec("linear"),
+                                  FootprintSpec("n_closest", k=2))
+        with pytest.raises(FieldError, match="sources"):
+            apply(operator, pts.values[:-1])
 
 
 class TestTargetGrids:
