@@ -5,17 +5,21 @@ product of the offset vector with the angle-weighted pseudonormal of the
 closest feature (vertex, edge, or face), which is sign-correct on
 watertight, consistently wound meshes.
 
-Voxelization evaluates exactly only inside the narrow band: triangles are
-grouped by BVH leaves, each group scatters distances into the voxel block
-covered by its dilated bounding box, and voxels provably farther than the
-band from every triangle are never evaluated.  Far voxels get their sign
-from one exact query per connected far-field component and are clamped to
+Voxelization evaluates exactly only inside the narrow band, and only in
+the block of voxels within the band of the mesh's bounding box; the rest of
+the grid is outside the solid and is written as the band edge directly.
+Triangles are grouped by BVH leaves.  A cheap first pass gives every block
+voxel an upper bound on its distance (to one on-surface point per nearby
+leaf); the band pass then scatters each leaf's exact distances only into
+the voxels of its dilated box whose leaf-box lower bound is within the
+band, below the current distance and not above that upper bound, in
+kernel calls of bounded size.  Far voxels get their sign from one exact
+query per connected far-field component of the block and are clamped to
 the band edge.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,30 +189,30 @@ class MeshAccel:
         order = np.arange(n)
         nodes: list[_Node] = []
 
-        def build(start: int, count: int) -> int:
+        # (start, count, parent, is_right); the right child is pushed before
+        # the left, so nodes are numbered in pre-order (left subtree first)
+        stack = [(0, n, -1, False)]
+        while stack:
+            start, count, parent, is_right = stack.pop()
             idx = order[start:start + count]
             lo = self._tri_lo[idx].min(axis=0)
             hi = self._tri_hi[idx].max(axis=0)
             node_id = len(nodes)
-            nodes.append(_Node(lo, hi, -1, -1, start, count))
-            if count > leaf_size:
-                axis = int(np.argmax(hi - lo))
-                local = np.argsort(centroids[idx, axis], kind="stable")
-                order[start:start + count] = idx[local]
-                half = count // 2
-                left = build(start, half)
-                right = build(start + half, count - half)
-                node = nodes[node_id]
-                node.left, node.right = left, right
-                node.start, node.count = -1, 0
-            return node_id
-
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 100000))
-        try:
-            build(0, n)
-        finally:
-            sys.setrecursionlimit(limit)
+            if parent >= 0:
+                if is_right:
+                    nodes[parent].right = node_id
+                else:
+                    nodes[parent].left = node_id
+            if count <= leaf_size:
+                nodes.append(_Node(lo, hi, -1, -1, start, count))
+                continue
+            nodes.append(_Node(lo, hi, -1, -1, -1, 0))
+            axis = int(np.argmax(hi - lo))
+            local = np.argsort(centroids[idx, axis], kind="stable")
+            order[start:start + count] = idx[local]
+            half = count // 2
+            stack.append((start + half, count - half, node_id, True))
+            stack.append((start, half, node_id, False))
 
         self._order = order
         self._nodes = nodes
@@ -275,10 +279,6 @@ class MeshAccel:
             out[i] = dist if (p - closest) @ pn >= 0 else -dist
         return out
 
-    def unsigned_distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return np.array([self.closest(p)[0] for p in points])
-
 
 def signed_distance_at(accel: MeshAccel, point) -> float:
     """Signed distance at one point (negative inside the solid)."""
@@ -304,6 +304,52 @@ def point_mesh_distance(points: np.ndarray, accel: MeshAccel,
 # ---------------------------------------------------------------------------
 # Narrow-band voxelization
 # ---------------------------------------------------------------------------
+# point-triangle pairs per band-pass kernel call; bounds its (K, T, 3)
+# temporaries to a few MB whatever the leaf block size
+_PAIR_BUDGET = 1 << 18
+
+
+def _leaf_blocks(accel: MeshAccel, band_lu: float, grid: GridSpec):
+    """The BVH leaves, in leaf order, with the voxels of their dilated boxes.
+
+    Returns (block, leaves).  ``block`` holds the grid slices of the
+    smallest box of voxels that contains every leaf's box dilated by
+    band_lu; each leaf is (tri_ids, leaf_lo, leaf_hi, sl, coords) with
+    ``sl`` indexing the block-local arrays and ``coords`` the per-axis
+    sample coordinates of those voxels.  Leaves whose dilated box misses
+    the grid are left out; ``leaves`` is empty when all of them do.
+    """
+    origin = np.asarray(grid.origin)
+    spacing = np.asarray(grid.spacing)
+    dims = np.asarray(grid.dims)
+    groups = list(accel.leaf_groups())
+    leaf_lo = np.array([g[1] for g in groups])
+    leaf_hi = np.array([g[2] for g in groups])
+    first = np.ceil((leaf_lo - band_lu - origin) / spacing - 1e-12).astype(int)
+    last = np.floor((leaf_hi + band_lu - origin) / spacing + 1e-12).astype(int)
+    first = np.clip(first, 0, dims - 1)
+    last = np.clip(last, 0, dims - 1)
+    keep = np.flatnonzero((first <= last).all(axis=1))
+    if not len(keep):
+        return None, []
+    start = first[keep].min(axis=0)
+    block = tuple(slice(start[a], last[keep, a].max() + 1) for a in range(3))
+    axes = [grid.axis_coords(a) for a in range(3)]
+    leaves = []
+    for i in keep:
+        sl = tuple(slice(first[i, a] - start[a], last[i, a] + 1 - start[a])
+                   for a in range(3))
+        coords = [axes[a][first[i, a]:last[i, a] + 1] for a in range(3)]
+        leaves.append((*groups[i], sl, coords))
+    return block, leaves
+
+
+def _block_norm(offsets) -> np.ndarray:
+    """Euclidean norm of per-axis offset vectors broadcast to a 3-D block."""
+    ox, oy, oz = (o * o for o in offsets)
+    return np.sqrt(ox[:, None, None] + oy[None, :, None] + oz[None, None, :])
+
+
 def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
              accel: MeshAccel | None = None) -> DenseField:
     """Dense signed-distance field clamped to +-band_w voxels.
@@ -311,6 +357,20 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     The band half-width is measured in multiples of the base (x) spacing.
     Raises if the mesh bounds leave the grid box (co-registration would be
     violated).
+
+    All work happens in the block of voxels within band_lu of the mesh's
+    bounding box; every voxel outside it is outside the solid and farther
+    than the band, so it is written as +band_lu directly.  A first pass over
+    the BVH leaves gives each block voxel an upper bound ``ub`` on its
+    distance: the distance to one on-surface point (a triangle centroid) of
+    every leaf whose dilated box holds it.  The band pass then evaluates a
+    voxel against a leaf only when the leaf-box lower bound is within the
+    band, below the voxel's current distance and not above ``ub`` (plus a
+    rounding slack), in chunks of at most ``_PAIR_BUDGET`` point-triangle
+    pairs.  A culled leaf can never hold the first minimum, so the result
+    equals the exhaustive leaf-by-leaf scan bit for bit.  Far voxels get
+    their sign from one exact query per connected far-field component of
+    the block and are clamped to the band edge.
     """
     if band_w < 1:
         raise FieldError("narrow-band half-width must be at least 1 voxel")
@@ -326,70 +386,64 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
             f"grid box [{box_lo}, {box_hi}]")
 
     band_lu = band_w * grid.spacing[0]
-    dims = np.asarray(grid.dims)
-    origin = np.asarray(grid.origin)
-    spacing = np.asarray(grid.spacing)
-    axes = [grid.axis_coords(a) for a in range(3)]
+    phi = np.full(grid.dims, band_lu, dtype=np.float32)
+    block, leaves = _leaf_blocks(accel, band_lu, grid)
+    if not leaves:
+        return DenseField(grid, phi)
+    shape = tuple(sl.stop - sl.start for sl in block)
 
-    dist = np.full(grid.dims, np.inf, dtype=np.float64)
-    sign = np.ones(grid.dims, dtype=np.int8)
+    # upper bound: distance to the leaf's triangle centroid nearest its box
+    # centre, minimised over the leaves whose dilated box holds the voxel
+    centroids = accel.mesh.corners.mean(axis=1)
+    ub = np.full(shape, np.inf)
+    for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
+        cand = centroids[tri_ids]
+        off = cand - (leaf_lo + leaf_hi) / 2.0
+        near = cand[np.argmin(np.einsum("kj,kj->k", off, off))]
+        np.minimum(ub[sl], _block_norm([coords[a] - near[a] for a in range(3)]),
+                   out=ub[sl])
+    # slack for the rounding of both the bound and the exact distances
+    ub *= 1.0 + 1e-12
+    ub += 1e-9 * band_lu
 
-    for tri_ids, leaf_lo, leaf_hi in accel.leaf_groups():
-        lo_idx = np.ceil((leaf_lo - band_lu - origin) / spacing - 1e-12).astype(int)
-        hi_idx = np.floor((leaf_hi + band_lu - origin) / spacing + 1e-12).astype(int)
-        lo_idx = np.clip(lo_idx, 0, dims - 1)
-        hi_idx = np.clip(hi_idx, 0, dims - 1)
-        if (lo_idx > hi_idx).any():
-            continue
-        block_shape = tuple(hi_idx - lo_idx + 1)
-        sl = tuple(slice(lo_idx[a], hi_idx[a] + 1) for a in range(3))
-        gx, gy, gz = np.meshgrid(axes[0][sl[0]], axes[1][sl[1]], axes[2][sl[2]],
-                                 indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        current = dist[sl].ravel()
-
-        off = np.maximum(np.maximum(leaf_lo - pts, 0.0), pts - leaf_hi)
-        lower = np.sqrt(np.einsum("kj,kj->k", off, off))
-        active = (lower <= band_lu) & (lower < current)
-        if not active.any():
-            continue
+    # pseudonormal of every triangle feature, indexed [triangle, feature
+    # code]: codes 0-2 are the vertices, 3-5 the edges and 6 the face
+    normals = np.concatenate([accel._vertex_pn[accel.mesh.triangles],
+                              accel._edge_pn, accel._face_normals[:, None]],
+                             axis=1)
+    dist = np.full(shape, np.inf, dtype=np.float64)
+    sign = np.ones(shape, dtype=np.int8)
+    for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
+        lower = _block_norm([np.maximum(np.maximum(leaf_lo[a] - coords[a], 0.0),
+                                        coords[a] - leaf_hi[a]) for a in range(3)])
+        current = dist[sl]
+        active = (lower <= band_lu) & (lower < current) & (lower <= ub[sl])
         act = np.flatnonzero(active)
-
-        d2, s, t = _point_triangle(pts[act], accel._base[tri_ids],
-                                   accel._e0[tri_ids], accel._e1[tri_ids])
-        kmin = np.argmin(d2, axis=1)
-        arows = np.arange(len(act))
-        dmin = np.sqrt(d2[arows, kmin])
-        improved = dmin < current[act]
-        if not improved.any():
+        if not len(act):
             continue
-        rows = arows[improved]
-        upd_flat = act[rows]
-        win_tri = tri_ids[kmin[rows]]
-        s_win = s[rows, kmin[rows]]
-        t_win = t[rows, kmin[rows]]
-        codes = _feature_codes(s_win, t_win)
-
-        pn = np.empty((len(rows), 3))
-        mask = codes == _F_FACE
-        pn[mask] = accel._face_normals[win_tri[mask]]
-        for v in (_F_V0, _F_V1, _F_V2):
-            mask = codes == v
-            if mask.any():
-                pn[mask] = accel._vertex_pn[accel.mesh.triangles[win_tri[mask], v]]
-        for eidx in (_F_E01, _F_E12, _F_E20):
-            mask = codes == eidx
-            if mask.any():
-                pn[mask] = accel._edge_pn[win_tri[mask], eidx - _F_E01]
-
-        closest = (accel._base[win_tri] + s_win[:, None] * accel._e0[win_tri]
-                   + t_win[:, None] * accel._e1[win_tri])
-        outward = np.einsum("kj,kj->k", pts[upd_flat] - closest, pn)
-
-        multi = np.unravel_index(upd_flat, block_shape)
-        target = tuple(multi[a] + lo_idx[a] for a in range(3))
-        dist[target] = dmin[improved]
-        sign[target] = np.where(outward >= 0, 1, -1).astype(np.int8)
+        ijk = np.unravel_index(act, lower.shape)
+        pts = np.column_stack([coords[a][ijk[a]] for a in range(3)])
+        before = current[ijk]
+        base, e0, e1 = (accel._base[tri_ids], accel._e0[tri_ids],
+                        accel._e1[tri_ids])
+        step = max(1, _PAIR_BUDGET // len(tri_ids))
+        for start in range(0, len(act), step):
+            chunk = slice(start, start + step)
+            d2, s, t = _point_triangle(pts[chunk], base, e0, e1)
+            kmin = np.argmin(d2, axis=1)
+            dmin = np.sqrt(d2[np.arange(len(kmin)), kmin])
+            rows = np.flatnonzero(dmin < before[chunk])
+            if not len(rows):
+                continue
+            kwin = kmin[rows]
+            win, s_win, t_win = tri_ids[kwin], s[rows, kwin], t[rows, kwin]
+            closest = (accel._base[win] + s_win[:, None] * accel._e0[win]
+                       + t_win[:, None] * accel._e1[win])
+            outward = np.einsum("kj,kj->k", pts[chunk][rows] - closest,
+                                normals[win, _feature_codes(s_win, t_win)])
+            target = tuple(ijk[a][chunk][rows] for a in range(3))
+            current[target] = dmin[rows]
+            sign[sl][target] = np.where(outward >= 0, 1, -1)
 
     # far-field: clamp, one exact sign query per connected component
     far = dist > band_lu
@@ -398,13 +452,16 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
         labels, n_comp = ndimage.label(far, structure=structure)
         comp_ids, first_flat = np.unique(labels.ravel(), return_index=True)
         comp_sign = np.ones(n_comp + 1, dtype=np.int8)
+        origin = np.asarray(grid.origin)
+        spacing = np.asarray(grid.spacing)
+        offset = np.array([sl.start for sl in block])
         for comp, flat in zip(comp_ids, first_flat):
             if comp == 0:
                 continue
-            ijk = np.unravel_index(flat, grid.dims)
-            rep = origin + spacing * np.asarray(ijk)
+            ijk = np.asarray(np.unravel_index(flat, shape)) + offset
+            rep = origin + spacing * ijk
             comp_sign[comp] = 1 if signed_distance_at(accel, rep) >= 0 else -1
         sign[far] = comp_sign[labels[far]]
 
-    phi = sign * np.minimum(dist, band_lu)
-    return DenseField(grid, phi.astype(np.float32))
+    phi[block] = sign * np.minimum(dist, band_lu)
+    return DenseField(grid, phi)
