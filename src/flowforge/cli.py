@@ -19,6 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .atomic import atomic_open, atomic_write
 from .config import (ProvenanceRecord, ResolvedConfig, config_hash,
                      resolve_config, write_provenance)
 from .diagnostics import coverage_report, stationarity_gate
@@ -317,7 +318,8 @@ def _cmd_resample(args) -> int:
                 DenseField(sdf_grid, load_npy(sdf_path)))
             export_npy(phi_field.values, Path(str(stem) + "_sdf.npy"))
             mask = (phi_field.values > 0).astype(np.uint8)
-            np.save(Path(str(stem) + "_mask.npy"), mask)
+            with atomic_open(Path(str(stem) + "_mask.npy")) as handle:
+                np.save(handle, mask)
             extra["holes_sdf"] = phi_summary["holes"]
 
         write_field_sidecar(
@@ -365,8 +367,8 @@ def _cmd_gate(args) -> int:
         h=grid.spacing[0],
         sample_area=grid.spacing[1] * grid.spacing[2],
         eps_u_max=args.eps_u, delta_phi_max=args.dphi)
-    (case_dir / "gate_report.yaml").write_text(
-        yaml.safe_dump(report.to_dict(), sort_keys=True), encoding="utf-8")
+    atomic_write(case_dir / "gate_report.yaml",
+                 yaml.safe_dump(report.to_dict(), sort_keys=True))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"gate[{case_dir.name[:12]}]: {verdict} eps_u={report.eps_u:.3e} "
           f"dphi={report.delta_phi:.3e} eps2={report.eps2:.3e} "

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import yaml
 
+from .atomic import atomic_write
 from .errors import ArtifactIOError, ConfigError
 
 FAMILIES = ("cone", "cuboid", "cylinder", "sphere", "torus", "wedge")
@@ -652,10 +653,7 @@ def write_frozen_config(cfg: ResolvedConfig, path) -> Path:
     """Write a snapshot that resolves back to an identical config."""
     path = Path(path)
     text = yaml.safe_dump(cfg.data, sort_keys=True, default_flow_style=False)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-    return path
+    return atomic_write(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +728,8 @@ def write_provenance(record: ProvenanceRecord, out_dir,
                 f"{previous['samples_generated']}")
 
     text = json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
-    tmp = target.with_suffix(".json.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(target)
+        atomic_write(target, text)
         if cfg is not None:
             write_frozen_config(cfg, out_dir / "config_frozen.yaml")
     except OSError as exc:

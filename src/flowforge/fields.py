@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .atomic import atomic_open, atomic_write
 from .errors import ArtifactIOError, FieldError
 
 SIGN_CONVENTION = "negative_inside"
@@ -114,7 +115,7 @@ def export_npy(values: np.ndarray, path) -> Path:
     path = Path(path)
     array = np.ascontiguousarray(values, dtype="<f4")
     try:
-        with open(path, "wb") as handle:
+        with atomic_open(path) as handle:
             np.save(handle, array)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
@@ -135,7 +136,7 @@ def write_field_sidecar(path, grid: GridSpec, **extra) -> Path:
     payload["units"] = "lu"
     payload.update(extra)
     try:
-        path.write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
+        atomic_write(path, yaml.safe_dump(payload, sort_keys=True))
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
     return path
@@ -146,22 +147,6 @@ def read_field_sidecar(path) -> dict:
     if not path.exists():
         raise ArtifactIOError(f"field sidecar not found: {path}")
     return yaml.safe_load(path.read_text(encoding="utf-8"))
-
-
-def export_field(field: DenseField, stem, **extra) -> tuple[Path, Path]:
-    """Write <stem>.npy plus <stem>.yaml sidecar."""
-    stem = Path(stem)
-    npy = export_npy(field.values, stem.with_suffix(".npy"))
-    sidecar = write_field_sidecar(stem.with_suffix(".yaml"), field.grid,
-                                  components=field.components, **extra)
-    return npy, sidecar
-
-
-def load_field(stem) -> tuple[DenseField, dict]:
-    stem = Path(stem)
-    meta = read_field_sidecar(stem.with_suffix(".yaml"))
-    grid = GridSpec.from_dict(meta)
-    return DenseField(grid, load_npy(stem.with_suffix(".npy"))), meta
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
 import yaml
 
+from ..atomic import atomic_write
 from ..errors import ArtifactIOError, GeometryError
 from .mesh import concatenate
 from .scene import Scene
@@ -102,9 +102,8 @@ def export_scene(scene: Scene, out_dir, prefix: str, index: int,
     sidecar = scene_sidecar(scene, cfg, config_digest, job_identifier)
     yaml_path = out_dir / yaml_name
     try:
-        yaml_path.write_text(
-            yaml.safe_dump(sidecar, sort_keys=False, default_flow_style=False),
-            encoding="utf-8")
+        atomic_write(yaml_path, yaml.safe_dump(
+            sidecar, sort_keys=False, default_flow_style=False))
     except OSError as exc:
         raise ArtifactIOError(f"cannot write sidecar {yaml_path}: {exc}") from exc
     return stl_path, yaml_path

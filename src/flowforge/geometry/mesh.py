@@ -71,12 +71,6 @@ class TriMesh:
         return float(np.linalg.norm(e, axis=2).max())
 
     # -- transforms ---------------------------------------------------------
-    def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "TriMesh":
-        """Rigid transform v -> R v + t (new mesh, same topology)."""
-        verts = self.vertices @ np.asarray(rotation, dtype=np.float64).T
-        verts = verts + np.asarray(translation, dtype=np.float64)
-        return TriMesh(verts, self.triangles.copy())
-
     def translated(self, offset: np.ndarray) -> "TriMesh":
         return TriMesh(self.vertices + np.asarray(offset, dtype=np.float64),
                        self.triangles.copy())
@@ -105,20 +99,7 @@ class TriMesh:
         if self.signed_volume() <= 0:
             raise GeometryError(f"{context}: inward orientation (volume <= 0)")
 
-    def is_watertight(self) -> bool:
-        try:
-            self.check_watertight()
-            return True
-        except GeometryError:
-            return False
-
     # -- construction helpers ------------------------------------------------
-    def flipped(self) -> "TriMesh":
-        return TriMesh(self.vertices.copy(), self.triangles[:, [0, 2, 1]].copy())
-
-    def oriented_outward(self) -> "TriMesh":
-        return self.flipped() if self.signed_volume() < 0 else self
-
     def drop_unreferenced_vertices(self) -> "TriMesh":
         used = np.unique(self.triangles)
         remap = np.full(len(self.vertices), -1, dtype=np.int32)

@@ -176,12 +176,6 @@ def sample_shape(family: str, ranges: dict, draw: np.ndarray,
     return params
 
 
-def family_param_count(family: str, ranges: dict) -> int:
-    ranges = _effective_ranges(family, ranges)
-    return sum(1 for name in FAMILY_PARAM_ORDER[family]
-               if ranges.get(name) is not None)
-
-
 # ---------------------------------------------------------------------------
 # Placed shapes and scenes
 # ---------------------------------------------------------------------------

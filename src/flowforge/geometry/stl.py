@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ArtifactIOError, GeometryError
 from .mesh import TriMesh, from_triangle_soup
 
@@ -36,7 +37,7 @@ def stl_bytes(mesh: TriMesh) -> bytes:
 def write_stl(mesh: TriMesh, path) -> Path:
     path = Path(path)
     try:
-        path.write_bytes(stl_bytes(mesh))
+        atomic_write(path, stl_bytes(mesh))
     except OSError as exc:
         raise ArtifactIOError(f"cannot write STL {path}: {exc}") from exc
     return path

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .atomic import atomic_write
 from .errors import ArtifactIOError, OrchestrationError
 from .fields import GridSpec, export_npy, load_npy, write_field_sidecar
 from .geometry.export import read_scene_yaml
@@ -143,15 +144,9 @@ def discover_pairs(geometry_dir) -> list[tuple[str, Path, Path]]:
     return [(stem, yamls[stem], stls[stem]) for stem in sorted(yamls)]
 
 
-def _atomic_write_text(path: Path, text: str):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def _write_manifest(case_dir: Path, manifest: dict):
-    _atomic_write_text(case_dir / "manifest.yaml",
-                       yaml.safe_dump(manifest, sort_keys=True))
+    atomic_write(case_dir / "manifest.yaml",
+                 yaml.safe_dump(manifest, sort_keys=True))
 
 
 def read_manifest(case_dir) -> dict:
@@ -198,7 +193,7 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                     shutil.move(str(src), archive / name)
 
     case_dir.mkdir(parents=True, exist_ok=True)
-    (case_dir / "geometry.stl").write_bytes(stl_bytes)
+    atomic_write(case_dir / "geometry.stl", stl_bytes)
 
     scene = read_scene_yaml(yaml_path)
     sim = scene["simulation_parameters"]
@@ -212,8 +207,8 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
         "LU": lu,
         "dx": dx,
     }}, sort_keys=True)
-    (case_dir / "metadata.yaml").write_bytes(
-        yaml_bytes + b"\n" + trailer.encode("utf-8"))
+    atomic_write(case_dir / "metadata.yaml",
+                 yaml_bytes + b"\n" + trailer.encode("utf-8"))
 
     executable, template_name = select_executable(
         int(sim["refinement_parameter"]))
@@ -244,7 +239,7 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
     }
     patched = patch_template(template_path.read_text(encoding="utf-8"),
                              patch_values)
-    _atomic_write_text(case_dir / template_name, patched)
+    atomic_write(case_dir / template_name, patched)
 
     job_template = templates_dir / "job_script.slurm"
     if not job_template.exists():
@@ -258,9 +253,9 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
         "executable": executable,
         "param_file": template_name,
     }
-    _atomic_write_text(case_dir / "job_script.slurm",
-                       patch_template(job_template.read_text(encoding="utf-8"),
-                                      job_values))
+    atomic_write(case_dir / "job_script.slurm",
+                 patch_template(job_template.read_text(encoding="utf-8"),
+                                job_values))
 
     if sdf_stem is not None:
         sdf_stem = Path(sdf_stem)
@@ -382,8 +377,7 @@ class _IndexStore:
             "stem": record.stem, "lane": record.lane,
             "job_id": record.job_id, "status": record.status,
         }
-        _atomic_write_text(self.path, yaml.safe_dump(self.entries,
-                                                     sort_keys=True))
+        atomic_write(self.path, yaml.safe_dump(self.entries, sort_keys=True))
 
 
 def _persist(record: CaseRecord, store: _IndexStore):
@@ -435,8 +429,8 @@ def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
                 result.job_ids[record.case_id] = job_id
                 result.submitted += 1
         result.commands = lines
-        _atomic_write_text(out_root / "submission_plan.txt",
-                           "\n".join(lines) + ("\n" if lines else ""))
+        atomic_write(out_root / "submission_plan.txt",
+                     "\n".join(lines) + ("\n" if lines else ""))
         return result
 
     if backend == "slurm":

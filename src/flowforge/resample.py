@@ -13,6 +13,12 @@ once per source grid (:func:`build_operator`) and reused for every field
 sampled on that grid (:func:`apply`); :func:`interpolate` is the one-shot
 form of the two.
 
+A tie-inclusive k-nearest set is found by escalation.  Every target first
+queries k + 1 neighbors; only a target whose (k+1)-th neighbor ties the
+k-th queries k + ``_TIE_BUFFER``, and only one whose set fills even that
+takes a ball query.  The operator is as wide as the widest tie set: 5
+columns for k = 4 from the dx=16 channel grid onto the 128x32x32 target.
+
 Normalized weights reproduce constant fields exactly for every
 kernel/footprint combination.  When all weights vanish (or a radius
 footprint is empty) the sample falls back to the value of the nearest
@@ -49,6 +55,8 @@ DEFAULT_K_SCHEDULE = {
 }
 DEFAULT_K = 6
 
+# neighbors within d_k (1 + _TIE_REL) tie the k-th; a target whose k+1
+# probe ties re-queries k + _TIE_BUFFER, then falls back to a ball query
 _TIE_REL = 1e-12
 _TIE_BUFFER = 24
 
@@ -147,43 +155,60 @@ def build_index(positions) -> SpatialIndex:
 # ---------------------------------------------------------------------------
 # Neighbor sets
 # ---------------------------------------------------------------------------
+def _sorted_knn(index: SpatialIndex, targets: np.ndarray, width: int):
+    """``width`` nearest sources per target, ordered by (distance, id) so
+    that equidistant ties break the same way whatever the query order."""
+    dist, idx = index.knn(targets, width)
+    order = np.lexsort((idx, dist), axis=1)
+    return (np.take_along_axis(dist, order, axis=1),
+            np.take_along_axis(idx, order, axis=1))
+
+
 def _neighbor_sets_n_closest(index: SpatialIndex, targets: np.ndarray, k: int):
-    """Tie-inclusive k-nearest sets as padded (dist, idx, valid) arrays."""
+    """Tie-inclusive k-nearest sets as padded (dist, idx, valid) arrays.
+
+    Each row's footprint is the prefix of sources within ``d_k (1 +
+    _TIE_REL)``.  The arrays are as wide as the widest footprint, so every
+    dropped column would have had zero weight.
+    """
     n_src = len(index.positions)
     k_eff = min(k, n_src)
-    buffer = min(n_src, k_eff + _TIE_BUFFER)
-    dist, idx = index.knn(targets, buffer)
-    # normalize tie order to (distance, source id) for determinism
-    order = np.lexsort((idx, dist), axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
+    width = min(n_src, k_eff + 1)
+    dist, idx = _sorted_knn(index, targets, width)
     d_k = dist[:, k_eff - 1]
     tie_limit = d_k * (1.0 + _TIE_REL)
-    valid = dist <= tie_limit[:, None]
+    # (rows, dist, idx) blocks; a later block replaces its rows' entries
+    blocks = [(slice(None), dist, idx)]
 
-    # rows whose tie set may extend past the buffer need a full ball query
-    overflow = valid[:, -1] & (buffer < n_src)
-    if overflow.any():
-        rows = np.flatnonzero(overflow)
-        lists = [index.tree.query_ball_point(targets[r], float(tie_limit[r]),
-                                             workers=1) for r in rows]
-        width = max(max(len(l) for l in lists), buffer)
-        new_dist = np.full((len(targets), width), np.inf)
-        new_idx = np.zeros((len(targets), width), dtype=np.int64)
-        new_dist[:, :buffer] = dist
-        new_idx[:, :buffer] = idx
-        for r, members in zip(rows, lists):
-            members = np.asarray(sorted(members), dtype=np.int64)
+    # only rows whose (k+1)-th neighbor ties the k-th can have a wider set
+    escalate = np.flatnonzero((dist[:, -1] <= tie_limit) & (width < n_src))
+    if len(escalate):
+        buffer = min(n_src, k_eff + _TIE_BUFFER)
+        wide_dist, wide_idx = _sorted_knn(index, targets[escalate], buffer)
+        blocks.append((escalate, wide_dist, wide_idx))
+
+        # rows whose tie set may extend past the buffer need a full ball query
+        full = (wide_dist[:, -1] <= tie_limit[escalate]) & (buffer < n_src)
+        for r in escalate[full]:
+            members = np.asarray(sorted(index.tree.query_ball_point(
+                targets[r], float(tie_limit[r]), workers=1)), dtype=np.int64)
             d = np.linalg.norm(index.positions[members] - targets[r], axis=1)
             order = np.lexsort((members, d))
-            members, d = members[order], d[order]
-            new_dist[r, :] = np.inf
-            new_dist[r, :len(members)] = d
-            new_idx[r, :len(members)] = members
-        dist, idx = new_dist, new_idx
-        valid = dist <= tie_limit[:, None]
+            blocks.append(([r], d[order][None, :], members[order][None, :]))
 
-    return dist, idx, valid, d_k
+    # rows are sorted, so each footprint is a prefix and its length a count
+    counts = np.zeros(len(targets), dtype=np.int64)
+    for rows, d, _ in blocks:
+        counts[rows] = (d <= tie_limit[rows, None]).sum(axis=1)
+    width = max(1, int(counts.max()))
+    out_dist = np.empty((len(targets), width))
+    out_idx = np.empty((len(targets), width), dtype=np.int64)
+    for rows, d, i in blocks:
+        cols = min(width, d.shape[1])
+        out_dist[rows, :cols], out_dist[rows, cols:] = d[:, :cols], np.inf
+        out_idx[rows, :cols], out_idx[rows, cols:] = i[:, :cols], 0
+    valid = out_dist <= tie_limit[:, None]
+    return out_dist, out_idx, valid, d_k
 
 
 def _neighbor_sets_radius(index: SpatialIndex, targets: np.ndarray, r: float):

@@ -18,12 +18,13 @@ Sobol path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._directions import MAX_DIMENSION, M_INIT, POLY
+from .atomic import atomic_write
 from .errors import StateError
 
 SOBOL_BITS = 32
@@ -130,9 +131,6 @@ class GeneratorState:
         if self.index < 0 or self.samples_generated < 0:
             raise StateError("index and samples_generated must be nonnegative")
 
-    def copy(self) -> "GeneratorState":
-        return replace(self)
-
 
 def freeze_dimension(state: GeneratorState, dimension: int,
                      initial_test_repeat: int = 0) -> GeneratorState:
@@ -191,10 +189,7 @@ def save_state(state: GeneratorState, path) -> Path:
         if value is None:
             continue
         lines.append(f"{name}={value}")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
-    return path
+    return atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_state(path) -> GeneratorState:

@@ -285,3 +285,12 @@ class TestValidate:
     def test_scene_revalidation(self, pipeline):
         assert run(["validate", *SMALL_OVERRIDES,
                     "--scenes", pipeline["scenes"]]) == 0
+
+
+class TestAtomicWrites:
+    def test_pipeline_leaves_no_temporary_files(self, pipeline):
+        index = yaml.safe_load((pipeline["cases"] / "index.yaml").read_text())
+        assert run(["gate", "--case", pipeline["cases"] / sorted(index)[0]]) == 0
+        written = [p for p in pipeline["root"].rglob("*") if p.is_file()]
+        assert written
+        assert [p for p in written if p.name.endswith(".tmp")] == []

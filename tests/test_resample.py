@@ -186,10 +186,11 @@ class TestInterpolate:
         assert field.values.ravel()[0] == pytest.approx(2.5)
 
 
-def fused_interpolate(points, target, kernel, footprint):
+def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
     """Neighbor search, weights and accumulation in one pass, the way
     ``interpolate`` computed them before the build/apply split.  The split
-    must reproduce these bytes exactly."""
+    must reproduce these bytes exactly.  ``knn_sets`` optionally supplies
+    the n_closest neighbor sets, computed once for several kernels."""
     index = build_index(points.positions)
     targets = target.sample_positions()
     n_targets = len(targets)
@@ -197,8 +198,9 @@ def fused_interpolate(points, target, kernel, footprint):
     n_comp = values.shape[1]
 
     if footprint.mode == "n_closest":
-        dist, idx, valid, radii = _neighbor_sets_n_closest(
-            index, targets, footprint.k)
+        dist, idx, valid, radii = (
+            knn_sets if knn_sets is not None
+            else _neighbor_sets_n_closest(index, targets, footprint.k))
     else:
         dist, idx, valid, _ = _neighbor_sets_radius(
             index, targets, footprint.radius)
@@ -279,6 +281,68 @@ EQUIVALENCE_CASES = {
 }
 
 
+def wide_neighbor_sets(index, targets, k):
+    """Tie-inclusive k-nearest sets from one k + _TIE_BUFFER query per
+    target, with a ball query where the tie set fills it: the footprints
+    the narrow probe must reproduce.  Returns (dist, idx) as wide as the
+    widest footprint, with inf and -1 past each footprint, and d_k."""
+    n_src = len(index.positions)
+    k_eff = min(k, n_src)
+    buffer = min(n_src, k_eff + _TIE_BUFFER)
+    dist, idx = index.knn(targets, buffer)
+    order = np.lexsort((idx, dist), axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    d_k = dist[:, k_eff - 1]
+    tie_limit = d_k * (1.0 + 1e-12)
+    keep = dist <= tie_limit[:, None]
+    rows = {}
+    for r in np.flatnonzero(keep[:, -1] & (buffer < n_src)):
+        members = np.asarray(sorted(index.radius(targets[r], tie_limit[r])))
+        d = np.linalg.norm(index.positions[members] - targets[r], axis=1)
+        order = np.lexsort((members, d))
+        inside = d[order] <= tie_limit[r]
+        rows[r] = (d[order][inside], members[order][inside])
+    width = max([1, keep.sum(axis=1).max()] + [len(d) for d, _ in rows.values()])
+    out_dist = np.full((len(targets), width), np.inf)
+    out_idx = np.full((len(targets), width), -1)
+    cols = min(width, buffer)
+    out_dist[:, :cols] = np.where(keep, dist, np.inf)[:, :cols]
+    out_idx[:, :cols] = np.where(keep, idx, -1)[:, :cols]
+    for r, (d, members) in rows.items():
+        out_dist[r, :len(d)], out_idx[r, :len(d)] = d, members
+    return out_dist, out_idx, d_k
+
+
+# 128x32x32 sources at spacing 16, the dx=16 channel grid
+CHANNEL = GridSpec(origin=(0, 0, 0), spacing=(16, 16, 16), dims=(128, 32, 32))
+# targets with their widest tie set at k = 4: the e2e resample grid (a few
+# rows tie a fifth source), the source grid itself (an exact hit plus six
+# face neighbors at the k-th distance) and the cell centres (eight corners)
+LATTICE_TARGETS = {
+    "e2e": (make_target_grid((0, 0, 0), (2048, 512, 512), (127, 31, 31)), 5),
+    "coincident": (CHANNEL, 7),
+    "cell_centred": (GridSpec(origin=(8, 8, 8), spacing=(16, 16, 16),
+                              dims=(127, 31, 31)), 8),
+}
+
+
+@pytest.fixture(scope="module")
+def channel_sources():
+    positions = CHANNEL.sample_positions()
+    values = np.random.default_rng(5).normal(size=(len(positions), 3))
+    return SourcePoints(positions, values)
+
+
+@pytest.fixture(scope="module")
+def lattice_knn_sets(channel_sources):
+    """k = 4 neighbor sets of each lattice layout, shared by its kernels."""
+    index = build_index(channel_sources.positions)
+    return {name: _neighbor_sets_n_closest(index, target.sample_positions(), 4)
+            for name, (target, _) in LATTICE_TARGETS.items()
+            if name != "e2e"}
+
+
 class TestOperatorEquivalence:
     """``apply(build_operator(...))`` is byte-identical to the fused pass."""
 
@@ -302,6 +366,50 @@ class TestOperatorEquivalence:
         one_shot, _ = interpolate(pts, target, kernel, fp)
         again, _ = apply(operator, pts.values)
         assert np.array_equal(one_shot.values, again.values)
+
+    @pytest.mark.parametrize("layout", ["coincident", "cell_centred"])
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    def test_tie_heavy_lattice_matches_fused_pass(self, kind, layout,
+                                                  channel_sources,
+                                                  lattice_knn_sets):
+        target, widest = LATTICE_TARGETS[layout]
+        kernel, fp = KernelSpec(kind), FootprintSpec("n_closest", k=4)
+        operator = build_operator(channel_sources.positions, target, kernel, fp)
+        if kind != "voronoi":
+            assert operator.idx.shape[1] == widest
+        field, summary = apply(operator, channel_sources.values)
+        want, holes = fused_interpolate(channel_sources, target, kernel, fp,
+                                        lattice_knn_sets[layout])
+        assert np.array_equal(field.values, want)
+        assert summary["holes"] == holes
+
+    @pytest.mark.parametrize("layout", sorted(LATTICE_TARGETS))
+    def test_narrow_probe_matches_wide_query_on_lattices(self, layout,
+                                                         channel_sources):
+        """The probe's width is the widest tie set, not k + _TIE_BUFFER."""
+        target, widest = LATTICE_TARGETS[layout]
+        width = self.check_narrow_probe(channel_sources.positions,
+                                        target.sample_positions(), 4)
+        assert width == widest
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_narrow_probe_matches_wide_query(self, case):
+        make_points, target, knn_fp, _ = EQUIVALENCE_CASES[case]
+        self.check_narrow_probe(make_points().positions,
+                                target.sample_positions(), knn_fp.k)
+
+    @staticmethod
+    def check_narrow_probe(positions, targets, k):
+        """Same footprints, (distance, id) order and d_k as the wide query,
+        in arrays exactly as wide as the widest footprint."""
+        index = build_index(positions)
+        dist, idx, valid, d_k = _neighbor_sets_n_closest(index, targets, k)
+        want_dist, want_idx, want_d_k = wide_neighbor_sets(index, targets, k)
+        assert np.array_equal(d_k, want_d_k)
+        assert dist.shape == want_dist.shape
+        assert np.array_equal(np.where(valid, dist, np.inf), want_dist)
+        assert np.array_equal(np.where(valid, idx, -1), want_idx)
+        return dist.shape[1]
 
     def test_cases_reach_their_edge(self):
         """The edge cases above really take the paths they are named for."""
