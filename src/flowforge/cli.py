@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 validation error, 2 I/O or scheduler error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import os
 import sys
@@ -415,6 +417,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if sys.platform.startswith("linux"):
+        # one malloc arena for every thread: glibc's per-thread arenas keep
+        # freed memory resident in amounts that vary with thread timing
+        with contextlib.suppress(OSError, AttributeError):
+            ctypes.CDLL(None).mallopt(-8, 1)        # M_ARENA_MAX
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

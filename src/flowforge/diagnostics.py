@@ -10,12 +10,14 @@ stencils next to solid voxels and domain faces.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ArtifactIOError, FieldError
 from .geometry.export import read_scene_yaml
 
@@ -259,11 +261,12 @@ def _binomial_ci(count: int, total: int, z: float = 1.959963984540054
 
 
 def _write_csv(path: Path, policy: str, header: list[str], rows: list[list]):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"# {policy}"])
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow([f"# {policy}"])
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, text.getvalue().encode("utf-8"))
 
 
 def _hist_rows(values: np.ndarray, lo: float, hi: float, label: str

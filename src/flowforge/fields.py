@@ -20,8 +20,6 @@ import yaml
 from .atomic import atomic_open, atomic_write
 from .errors import ArtifactIOError, FieldError
 
-SIGN_CONVENTION = "negative_inside"
-
 
 @dataclass(frozen=True)
 class GridSpec:

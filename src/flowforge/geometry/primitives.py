@@ -29,6 +29,8 @@ from ..errors import GeometryError
 from .mesh import TriMesh
 
 _AXIS_TOL = 1e-12
+# a sphere latitude ring narrower than this fraction of the radius is a pole
+_POLE_TOL = 1e-6
 
 FAMILY_PARAM_ORDER = {
     "cuboid": ("height", "width", "thickness"),
@@ -234,6 +236,8 @@ def _build_sphere(params: dict, segments: int) -> tuple[TriMesh, Callable]:
     n_lat = max(2, math.ceil(segments * (lat_hi - lat_lo) / 360.0))
     lats = np.radians(np.linspace(lat_lo, lat_hi, n_lat + 1))
     arc = np.column_stack([r * np.cos(lats), r * np.sin(lats)])
+    # a ring that close to a pole would fan into zero-area triangles
+    arc[arc[:, 0] <= _POLE_TOL * r, 0] = 0.0
     profile = np.vstack([[0.0, 0.0], arc])
     n_az = max(2, math.ceil(segments * sweep / 360.0))
     mesh = revolve_polygon(profile, sweep, n_az)

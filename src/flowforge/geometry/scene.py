@@ -38,7 +38,6 @@ GEOM_DRAW_WIDTH = 1 + MAX_FAMILY_PARAMS + 3 + 3 + 2
 _PARAM_SLOT = 1
 _POS_SLOT = 1 + MAX_FAMILY_PARAMS
 _QUAT_SLOT = _POS_SLOT + 3
-_DIR_SLOT = _QUAT_SLOT + 3
 
 
 def draw_dimension(cfg_data: dict) -> int:

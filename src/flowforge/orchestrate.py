@@ -8,21 +8,28 @@ patched parameter file, a job script, and a manifest.  Re-materializing
 the same inputs is a no-op; completed cases are never resubmitted unless
 forced.
 
-Backends: ``slurm`` shells the configured submit command and chains lanes
-with after-success dependencies; ``local`` executes lanes concurrently
-with strict within-lane ordering and failure isolation; ``dry_run`` emits
-the full submission sequence without side effects.
+A case's ``manifest.yaml`` is the only record of its state, and the only
+file a submission writes per case.  ``index.yaml`` is derived: ``slurm``
+and ``local`` rebuild it once per submit from the manifests of every
+case under the output root, leaving out cases still pending.
+
+The backends share one lane walk (skip completed cases, skip the rest of
+a lane after a failure, chain each job on the previous one) and differ
+only in how one case is launched: ``slurm`` runs the submit command with
+``--chdir=<case_dir>`` and an after-success dependency, ``local`` calls
+the runner with one thread per lane, and ``dry_run`` writes the command
+sequence to ``submission_plan.txt`` without other side effects.
 """
 
 from __future__ import annotations
 
 import hashlib
-import queue
+import itertools
 import re
 import shutil
 import subprocess
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +44,8 @@ from .geometry.export import read_scene_yaml
 _PLACEHOLDER_RE = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)@")
 _BOUND_RE = re.compile(r"^#BOUND\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.MULTILINE)
 _SBATCH_RE = re.compile(r"Submitted batch job (\d+)")
+# libyaml's parser where installed; it builds the same values, 10x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 REQUIRED_PLACEHOLDERS = (
     "omega", "inlet_velocity_x", "inlet_velocity_y", "inlet_velocity_z",
@@ -153,7 +162,7 @@ def read_manifest(case_dir) -> dict:
     path = Path(case_dir) / "manifest.yaml"
     if not path.exists():
         raise OrchestrationError(f"manifest missing in {case_dir}")
-    return yaml.safe_load(path.read_text(encoding="utf-8"))
+    return yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
 
 
 def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
@@ -173,7 +182,9 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
     case_id = case_id_for(stl_bytes, yaml_bytes, digest)
     case_dir = out_root / case_id
 
-    if case_dir.exists():
+    # the manifest is a case's last write: a directory without one was cut
+    # off mid-materialization and is rebuilt below
+    if (case_dir / "manifest.yaml").exists():
         stored = case_dir / "geometry.stl"
         if stored.exists() and stored.read_bytes() != stl_bytes:
             raise OrchestrationError(
@@ -263,7 +274,7 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
             src = sdf_stem.with_suffix(suffix)
             if not src.exists():
                 raise OrchestrationError(f"SDF artifact missing: {src}")
-            shutil.copyfile(src, case_dir / f"sdf{suffix}")
+            atomic_write(case_dir / f"sdf{suffix}", src.read_bytes())
 
     manifest = {
         "case_id": case_id,
@@ -354,38 +365,88 @@ def plan_lanes(start: int, end: int, k: int) -> LanePlan:
 # ---------------------------------------------------------------------------
 @dataclass
 class SubmitResult:
-    job_ids: dict
-    submitted: int
-    skipped_completed: int
-    failed: list
-    skipped_after_failure: list
+    submitted: int = 0
+    skipped_completed: int = 0
+    failed: list = field(default_factory=list)
+    skipped_after_failure: list = field(default_factory=list)
     commands: list = field(default_factory=list)
 
 
-class _IndexStore:
-    """Single-writer dataset index with atomic rewrites."""
-
-    def __init__(self, out_root: Path):
-        self.path = Path(out_root) / "index.yaml"
-        self.entries: dict = {}
-        if self.path.exists():
-            self.entries = yaml.safe_load(
-                self.path.read_text(encoding="utf-8")) or {}
-
-    def update(self, record: CaseRecord):
-        self.entries[record.case_id] = {
-            "stem": record.stem, "lane": record.lane,
-            "job_id": record.job_id, "status": record.status,
-        }
-        atomic_write(self.path, yaml.safe_dump(self.entries, sort_keys=True))
-
-
-def _persist(record: CaseRecord, store: _IndexStore):
+def _persist(record: CaseRecord):
     record.manifest["lane"] = record.lane
     record.manifest["job_id"] = record.job_id
     record.manifest["status"] = record.status
     _write_manifest(record.case_dir, record.manifest)
-    store.update(record)
+
+
+def _write_index(out_root: Path):
+    """Rebuild ``index.yaml`` from the manifest of every case directory
+    under ``out_root``; cases still pending are left out."""
+    entries = {}
+    for path in out_root.glob("*/manifest.yaml"):
+        record = _record_from_manifest(path.parent, read_manifest(path.parent))
+        if record.status != "pending":
+            entries[record.case_id] = {
+                "stem": record.stem, "lane": record.lane,
+                "job_id": record.job_id, "status": record.status,
+            }
+    atomic_write(out_root / "index.yaml",
+                 yaml.safe_dump(entries, sort_keys=True))
+
+
+def _scheduler_argv(submit_command: str, record: CaseRecord,
+                    previous: str | None) -> list[str]:
+    """Scheduler argv for one case's job script: it runs in its case
+    directory (sbatch runs a spooled copy of the script) and after the job
+    ``previous``."""
+    argv = [submit_command, f"--chdir={record.case_dir}"]
+    if previous is not None:
+        argv.append(f"--dependency=afterok:{previous}")
+    return argv + [str(record.case_dir / "job_script.slurm")]
+
+
+def _walk_lanes(records: list[CaseRecord], plan: LanePlan, launch,
+                threaded: bool = False) -> SubmitResult:
+    """Walk every lane in order, calling ``launch(record, lane_no,
+    position, previous_job_id)`` for each case to run.
+
+    ``launch`` returns the job id the lane's next case chains on, or None
+    when the case failed.  Completed cases are skipped, and so is the rest
+    of a lane after a failure.  With ``threaded`` each lane is walked on its
+    own thread; the result is tallied in plan order either way.
+    """
+    def walk(lane_no: int) -> list[tuple[str, str]]:
+        outcomes, previous, failed = [], None, False
+        for position, index in enumerate(plan.lanes[lane_no]):
+            record = records[index - plan.start]
+            if record.status == "completed":
+                outcome = "completed"
+            elif failed:
+                outcome = "skipped"
+            else:
+                previous = launch(record, lane_no, position, previous)
+                failed = previous is None
+                outcome = "failed" if failed else "submitted"
+            outcomes.append((record.case_id, outcome))
+        return outcomes
+
+    lanes = range(len(plan.lanes))
+    if threaded:
+        with ThreadPoolExecutor(max_workers=len(plan.lanes)) as pool:
+            walked = list(pool.map(walk, lanes))
+    else:
+        walked = [walk(lane_no) for lane_no in lanes]
+    result = SubmitResult()
+    for case_id, outcome in itertools.chain.from_iterable(walked):
+        if outcome == "completed":
+            result.skipped_completed += 1
+        elif outcome == "submitted":
+            result.submitted += 1
+        elif outcome == "failed":
+            result.failed.append(case_id)
+        else:
+            result.skipped_after_failure.append(case_id)
+    return result
 
 
 def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
@@ -393,146 +454,73 @@ def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
            runner=None) -> SubmitResult:
     """Dispatch the planned lanes through the chosen backend.
 
-    Completed cases are skipped (idempotent reruns submit nothing).  In the
-    local backend a failure aborts only that lane's successors; ``runner``
-    is the per-case callable and defaults to the synthetic solver.
+    The backends share one lane walk and differ only in how a case is
+    launched.  ``dry_run`` writes the command sequence to
+    ``submission_plan.txt`` and nothing else.  ``slurm`` and ``local``
+    write each case's manifest once its outcome is known, then rebuild
+    ``index.yaml`` from the manifests.  ``local`` walks the lanes
+    concurrently and calls ``runner`` (default: the synthetic solver) per
+    case; a runner failure ends only its own lane.
     """
     if backend not in ("slurm", "local", "dry_run"):
         raise OrchestrationError(f"unknown backend {backend!r}")
     out_root = Path(out_root)
-    store = _IndexStore(out_root)
-    result = SubmitResult(job_ids={}, submitted=0, skipped_completed=0,
-                          failed=[], skipped_after_failure=[])
-
-    def lane_records(lane):
-        return [records[i - plan.start] for i in lane]
 
     if backend == "dry_run":
-        lines = []
-        counter = 0
-        for lane in plan.lanes:
-            previous = None
-            for record in lane_records(lane):
-                if record.status == "completed":
-                    result.skipped_completed += 1
-                    continue
-                counter += 1
-                job_id = f"dry-{counter}"
-                if previous is None:
-                    lines.append(
-                        f"{submit_command} {record.case_dir / 'job_script.slurm'}")
-                else:
-                    lines.append(
-                        f"{submit_command} --dependency=afterok:{previous} "
-                        f"{record.case_dir / 'job_script.slurm'}")
-                previous = job_id
-                result.job_ids[record.case_id] = job_id
-                result.submitted += 1
+        lines, job_numbers = [], itertools.count(1)
+
+        def launch(record, lane_no, position, previous):
+            lines.append(" ".join(
+                _scheduler_argv(submit_command, record, previous)))
+            return f"dry-{next(job_numbers)}"
+
+        result = _walk_lanes(records, plan, launch)
         result.commands = lines
         atomic_write(out_root / "submission_plan.txt",
-                     "\n".join(lines) + ("\n" if lines else ""))
+                     "".join(line + "\n" for line in lines))
         return result
 
     if backend == "slurm":
-        for lane_no, lane in enumerate(plan.lanes):
-            previous = None
-            lane_failed = False
-            for record in lane_records(lane):
-                if record.status == "completed":
-                    result.skipped_completed += 1
-                    continue
-                if lane_failed:
-                    result.skipped_after_failure.append(record.case_id)
-                    continue
-                cmd = [submit_command]
-                if previous is not None:
-                    cmd.append(f"--dependency=afterok:{previous}")
-                cmd.append(str(record.case_dir / "job_script.slurm"))
-                try:
-                    proc = subprocess.run(cmd, capture_output=True, text=True,
-                                          check=False)
-                except OSError as exc:
-                    raise ArtifactIOError(
-                        f"cannot invoke scheduler {submit_command!r}: {exc}"
-                    ) from exc
-                if proc.returncode != 0:
-                    record.status = "failed"
-                    _persist(record, store)
-                    result.failed.append(record.case_id)
-                    lane_failed = True
-                    continue
-                match = _SBATCH_RE.search(proc.stdout)
-                if not match:
-                    raise OrchestrationError(
-                        "cannot parse scheduler response; raw output: "
-                        f"{proc.stdout!r}")
-                previous = match.group(1)
-                record.lane = lane_no
-                record.job_id = previous
-                record.status = "submitted"
-                _persist(record, store)
-                result.job_ids[record.case_id] = previous
-                result.submitted += 1
-        return result
+        def launch(record, lane_no, position, previous):
+            try:
+                proc = subprocess.run(
+                    _scheduler_argv(submit_command, record, previous),
+                    capture_output=True, text=True, check=False)
+            except OSError as exc:
+                raise ArtifactIOError(
+                    f"cannot invoke scheduler {submit_command!r}: {exc}"
+                ) from exc
+            if proc.returncode != 0:
+                record.status = "failed"
+                _persist(record)
+                return None
+            match = _SBATCH_RE.search(proc.stdout)
+            if not match:
+                raise OrchestrationError(
+                    "cannot parse scheduler response; raw output: "
+                    f"{proc.stdout!r}")
+            record.lane, record.job_id = lane_no, match.group(1)
+            record.status = "submitted"
+            _persist(record)
+            return record.job_id
+    else:
+        if runner is None:
+            runner = synthetic_solver
 
-    # local backend: lanes concurrent, within-lane strictly ordered
-    if runner is None:
-        runner = synthetic_solver
-    events: queue.Queue = queue.Queue()
-
-    def run_lane(lane_no: int, lane):
-        failed = False
-        for position, record in enumerate(lane_records(lane)):
-            if record.status == "completed":
-                events.put(("skip_completed", record, None))
-                continue
-            if failed:
-                events.put(("skip_failed", record, None))
-                continue
-            # job id is a pure function of the plan, not of scheduling
-            events.put(("submitted", record, (lane_no, position)))
+        def launch(record, lane_no, position, previous):
+            # the job id is a pure function of the plan, not of scheduling
+            record.lane, record.job_id = lane_no, f"local-{lane_no}.{position}"
             try:
                 runner(record.case_dir)
-            except Exception as exc:  # failure isolates the lane tail
-                failed = True
-                events.put(("failed", record, str(exc)))
+            except Exception:  # a failure isolates the lane tail
+                record.status = "failed"
             else:
-                events.put(("completed", record, None))
-        events.put(("lane_done", None, lane_no))
+                record.status = "completed"
+            _persist(record)
+            return record.job_id if record.status == "completed" else None
 
-    threads = [threading.Thread(target=run_lane, args=(i, lane), daemon=True)
-               for i, lane in enumerate(plan.lanes)]
-    for t in threads:
-        t.start()
-    done = 0
-    counter = 0
-    while done < len(plan.lanes):
-        kind, record, payload = events.get()
-        if kind == "lane_done":
-            done += 1
-            continue
-        if kind == "skip_completed":
-            result.skipped_completed += 1
-            continue
-        if kind == "skip_failed":
-            result.skipped_after_failure.append(record.case_id)
-            continue
-        if kind == "submitted":
-            counter += 1
-            lane_no, position = payload
-            record.lane = lane_no
-            record.job_id = f"local-{lane_no}.{position}"
-            record.status = "submitted"
-            result.job_ids[record.case_id] = record.job_id
-            result.submitted += 1
-        elif kind == "completed":
-            record.status = "completed"
-        elif kind == "failed":
-            record.status = "failed"
-            result.failed.append(record.case_id)
-        _persist(record, store)
-    for t in threads:
-        t.join()
+    result = _walk_lanes(records, plan, launch, threaded=backend == "local")
+    _write_index(out_root)
     return result
 
 

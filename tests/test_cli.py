@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ class TestOrchestrate:
                     "--out", out, "--backend", "dry_run"]) == 0
         plan = (out / "submission_plan.txt").read_text().strip().splitlines()
         assert len(plan) == 2
+        for line in plan:
+            # each job runs in the case directory that holds its script
+            chdir = line.split()[1]
+            assert chdir.startswith("--chdir=")
+            assert line.split()[-1] == str(
+                Path(chdir[len("--chdir="):]) / "job_script.slurm")
         for case_dir in out.iterdir():
             if case_dir.is_dir():
                 assert not (case_dir / "velocity.npy").exists()
@@ -285,6 +292,35 @@ class TestValidate:
     def test_scene_revalidation(self, pipeline):
         assert run(["validate", *SMALL_OVERRIDES,
                     "--scenes", pipeline["scenes"]]) == 0
+
+
+class TestMallocArena:
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(flowforge.cli.ctypes, "CDLL", lambda name: Libc())
+        return calls
+
+    def test_main_keeps_threads_on_one_arena(self, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(flowforge.cli.sys, "platform", "linux")
+        assert run(["validate", "seed=3"]) == 0
+        assert mallopt_calls == [(-8, 1)]   # M_ARENA_MAX = 1
+
+    def test_other_platforms_untouched(self, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(flowforge.cli.sys, "platform", "darwin")
+        assert run(["validate", "seed=3"]) == 0
+        assert mallopt_calls == []
+
+    def test_libc_without_mallopt_is_tolerated(self, monkeypatch):
+        monkeypatch.setattr(flowforge.cli.sys, "platform", "linux")
+        monkeypatch.setattr(flowforge.cli.ctypes, "CDLL", lambda name: object())
+        assert run(["validate", "seed=3"]) == 0
 
 
 class TestAtomicWrites:

@@ -72,6 +72,15 @@ class TestTessellation:
         with pytest.raises(GeometryError, match="16"):
             tessellate("sphere", full_sphere_params(5.0), 8)
 
+    @pytest.mark.parametrize("alpha, beta", [(-90.0, 89.99999998249999),
+                                             (-89.99999998, 30.0)])
+    def test_latitude_next_to_pole_is_watertight(self, alpha, beta):
+        # a ring 1e-9 lu wide at the pole once fanned into zero-area triangles
+        solid = tessellate("sphere", {"radius": 5.0, "alpha": alpha,
+                                      "beta": beta, "gamma": 10.0}, 48)
+        solid.mesh.check_watertight()
+        assert solid.mesh.signed_volume() > 0
+
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["cuboid", "cylinder", "cone", "sphere", "torus",
                             "wedge"]),

@@ -1,10 +1,15 @@
 import hashlib
+import itertools
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import flowforge.orchestrate as orchestrate
+from flowforge.cli import main
 from flowforge.config import config_hash, resolve_config
 from flowforge.errors import OrchestrationError
 from flowforge.fields import load_npy
@@ -224,7 +229,13 @@ class TestSubmit:
         assert result.submitted == 4
         assert len(result.commands) == 4
         assert sum("--dependency=afterok:" in c for c in result.commands) == 2
-        assert (out / "submission_plan.txt").exists()
+        # plan order is case order here; each job runs in its own case dir
+        for record, command in zip(records, result.commands):
+            assert f" --chdir={record.case_dir} " in command
+            assert command.endswith(f" {record.case_dir / 'job_script.slurm'}")
+        assert (out / "submission_plan.txt").read_text() == "".join(
+            c + "\n" for c in result.commands)
+        assert not (out / "index.yaml").exists()
 
     def test_local_runs_and_is_idempotent(self, scene_tree, tmp_path):
         out = tmp_path / "cases"
@@ -308,6 +319,178 @@ class TestSubmit:
                      if any(a.startswith("--dependency=afterok:")
                             for a in c)]
         assert len(dep_flags) == 2
+        for record, cmd in zip(records, calls):
+            assert cmd[1] == f"--chdir={record.case_dir}"
+            assert cmd[-1] == str(record.case_dir / "job_script.slurm")
+        index = yaml.safe_load((out / "index.yaml").read_text())
+        assert [index[r.case_id]["job_id"] for r in records] == [
+            "1001", "1002", "1003", "1004"]
+
+
+def fake_sbatch(monkeypatch):
+    """Answer every scheduler call with a fresh job id."""
+    job_ids = itertools.count(1001)
+
+    class FakeProc:
+        returncode = 0
+        stderr = ""
+
+        def __init__(self):
+            self.stdout = f"Submitted batch job {next(job_ids)}\n"
+
+    monkeypatch.setattr("flowforge.orchestrate.subprocess.run",
+                        lambda cmd, **kwargs: FakeProc())
+
+
+class TestIndex:
+    @pytest.mark.parametrize("backend, writes",
+                             [("dry_run", 0), ("slurm", 1), ("local", 1)])
+    def test_written_once_per_submit(self, scene_tree, tmp_path, monkeypatch,
+                                     backend, writes):
+        out = tmp_path / "cases"
+        records = materialize_all(scene_tree, out)
+        fake_sbatch(monkeypatch)
+        index_writes = []
+        real_write = orchestrate.atomic_write
+
+        def counting(path, data):
+            if Path(path) == out / "index.yaml":
+                index_writes.append(data)
+            return real_write(path, data)
+
+        monkeypatch.setattr(orchestrate, "atomic_write", counting)
+        submit(records, plan_lanes(0, 4, 2), backend, out)
+        assert len(index_writes) == writes
+        assert (out / "index.yaml").exists() == bool(writes)
+
+    def test_derived_from_manifests(self, scene_tree, tmp_path):
+        out = tmp_path / "cases"
+        records = materialize_all(scene_tree, out)
+        plan = plan_lanes(0, 4, 2)  # lanes [0,1], [2,3]
+
+        def failing(*case_dirs):
+            def runner(case_dir):
+                if Path(case_dir) in case_dirs:
+                    raise RuntimeError("injected failure")
+                return synthetic_solver(case_dir)
+            return runner
+
+        submit(records, plan, "local", out, runner=failing(records[1].case_dir))
+        index = yaml.safe_load((out / "index.yaml").read_text())
+        assert index[records[1].case_id]["status"] == "failed"
+
+        # rerun every case; case 0 fails, so case 1 is skipped and stays
+        # pending, and its older entry drops out of the index
+        records = [materialize_case(
+            y, s, None, scene_tree["cfg"], out,
+            sdf_stem=scene_tree["sdf"] / stem, force=True)
+            for stem, y, s in discover_pairs(scene_tree["scenes"])]
+        result = submit(records, plan, "local", out,
+                        runner=failing(records[0].case_dir))
+        assert result.skipped_after_failure == [records[1].case_id]
+        index = yaml.safe_load((out / "index.yaml").read_text())
+        assert records[1].case_id not in index
+        for record in (records[0], records[2], records[3]):
+            manifest = read_manifest(record.case_dir)
+            assert index[record.case_id] == {
+                "stem": record.stem, "lane": manifest["lane"],
+                "job_id": manifest["job_id"], "status": manifest["status"]}
+
+    def test_two_lane_failures_tallied_in_plan_order(self, scene_tree,
+                                                     tmp_path):
+        out = tmp_path / "cases"
+        records = materialize_all(scene_tree, out)
+        plan = plan_lanes(0, 4, 2)  # lanes [0,1], [2,3]
+        # delaying one lane's failure reverses the order the threads finish in
+        for slow in (records[0].case_dir, records[2].case_dir, None) * 2:
+            def runner(case_dir, slow=slow):
+                if Path(case_dir) == slow:
+                    time.sleep(0.05)
+                raise RuntimeError("injected failure")
+
+            result = submit(records, plan, "local", out, runner=runner)
+            assert result.failed == [records[0].case_id, records[2].case_id]
+            assert result.skipped_after_failure == [records[1].case_id,
+                                                    records[3].case_id]
+            assert result.submitted == 0 and result.skipped_completed == 0
+
+
+class LaneError(Exception):
+    pass
+
+
+class TestCrashRecovery:
+    """An interrupted ``forge orchestrate`` reruns to the uninterrupted tree."""
+
+    @staticmethod
+    def orchestrate(scene_tree, out, backend="local"):
+        return main([str(a) for a in (
+            "orchestrate", "--scenes", scene_tree["scenes"],
+            "--sdf", scene_tree["sdf"], "--out", out, "--backend", backend)])
+
+    @staticmethod
+    def tree(root: Path) -> dict:
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "provenance.json"}
+
+    @staticmethod
+    def fail_nth_manifest_write(monkeypatch, n):
+        """Make the n-th ``_write_manifest`` call raise (n = 0: none);
+        returns the list of calls."""
+        real_write = orchestrate._write_manifest
+        lock, calls = threading.Lock(), []
+
+        def faulty(case_dir, manifest):
+            with lock:
+                calls.append(Path(case_dir).name)
+                nth = len(calls)
+            if nth == n:
+                raise OSError("injected manifest write fault")
+            real_write(case_dir, manifest)
+
+        monkeypatch.setattr(orchestrate, "_write_manifest", faulty)
+        return calls
+
+    def test_any_manifest_write_fault_reruns_to_same_tree(
+            self, scene_tree, tmp_path, monkeypatch):
+        reference = tmp_path / "reference"
+        with monkeypatch.context() as m:
+            calls = self.fail_nth_manifest_write(m, 0)
+            assert self.orchestrate(scene_tree, reference) == 0
+        # one write per case when materialized, one when its outcome is known
+        assert len(calls) == 8
+        expected = self.tree(reference)
+        assert "index.yaml" in expected
+
+        for n in range(1, len(calls) + 1):
+            out = tmp_path / f"crash_{n}"
+            with monkeypatch.context() as m:
+                self.fail_nth_manifest_write(m, n)
+                assert self.orchestrate(scene_tree, out) == 2, n
+            assert not (out / "index.yaml").exists(), n
+            assert self.orchestrate(scene_tree, out) == 0, n
+            assert self.tree(out) == expected, n
+
+    @pytest.mark.parametrize("backend, n", [("dry_run", 4), ("slurm", 5)])
+    def test_manifest_write_fault_exits_2(self, scene_tree, tmp_path,
+                                          monkeypatch, backend, n):
+        fake_sbatch(monkeypatch)
+        self.fail_nth_manifest_write(monkeypatch, n)
+        assert self.orchestrate(scene_tree, tmp_path / "cases", backend) == 2
+
+    def test_lane_thread_error_leaves_submit(self, scene_tree, tmp_path,
+                                             monkeypatch):
+        out = tmp_path / "cases"
+        records = materialize_all(scene_tree, out)
+
+        def broken(record):
+            raise LaneError(record.case_id)
+
+        monkeypatch.setattr(orchestrate, "_persist", broken)
+        with pytest.raises(LaneError):
+            submit(records, plan_lanes(0, 4, 2), "local", out)
+        assert not (out / "index.yaml").exists()
 
 
 class TestSyntheticSolver:
