@@ -29,9 +29,10 @@ from .errors import ArtifactIOError, ForgeError
 from .fields import (DenseField, GridSpec, export_npy, load_npy,
                      read_field_sidecar, write_field_sidecar)
 from .geometry import build_scene, draw_dimension, export_scene, read_stl
-from .geometry.export import read_scene_yaml
-from .orchestrate import (discover_pairs, materialize_case, plan_lanes,
-                          read_manifest, submit, synthetic_solver)
+from .geometry.export import read_scene_yaml, scene_sidecars
+from .orchestrate import (BACKENDS, discover_pairs, materialize_case,
+                          plan_lanes, read_index, read_manifest, submit,
+                          synthetic_solver)
 from .resample import (FootprintSpec, KernelSpec, ResampleOperator, apply,
                        build_operator, default_k_for_grid, make_target_grid,
                        sample_values)
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sdf", dest="sdf_dir", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--backend", default=None,
-                   choices=["slurm", "local", "dry_run"])
+                   choices=BACKENDS)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--end", type=int, default=None)
     p.add_argument("--force", action="store_true")
@@ -161,14 +162,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _completed_stems(cases_dir: Path) -> set:
-    index_path = cases_dir / "index.yaml"
-    if not index_path.exists():
-        raise ArtifactIOError(f"sdf: no case index at {index_path}")
-    entries = yaml.safe_load(index_path.read_text(encoding="utf-8")) or {}
-    return {e["stem"] for e in entries.values() if e.get("status") == "completed"}
-
-
 def _cmd_sdf(args) -> int:
     cfg = _resolve(args)
     in_dir = Path(args.in_dir)
@@ -176,9 +169,10 @@ def _cmd_sdf(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stls = sorted(in_dir.glob("*.stl"))
     if not stls:
-        raise ArtifactIOError(f"sdf: no STL files under {in_dir}")
+        raise ArtifactIOError(f"no STL files under {in_dir}")
     if args.require_completed:
-        keep = _completed_stems(Path(args.require_completed))
+        keep = {e["stem"] for e in read_index(args.require_completed).values()
+                if e.get("status") == "completed"}
         stls = [p for p in stls if p.stem in keep]
 
     sdf_policy = cfg.sdf_policy
@@ -221,8 +215,7 @@ def _cmd_orchestrate(args) -> int:
     end = args.end if args.end is not None else len(pairs)
     if not (0 <= args.start < end <= len(pairs)):
         raise ArtifactIOError(
-            f"orchestrate: case range [{args.start}, {end}) outside "
-            f"0..{len(pairs)}")
+            f"case range [{args.start}, {end}) outside 0..{len(pairs)}")
     pairs = pairs[args.start:end]
 
     sdf_dir = Path(args.sdf_dir) if args.sdf_dir else None
@@ -253,11 +246,8 @@ def _cmd_resample(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    index_path = cases_dir / "index.yaml"
-    if not index_path.exists():
-        raise ArtifactIOError(f"resample: no case index at {index_path}")
-    entries = yaml.safe_load(index_path.read_text(encoding="utf-8")) or {}
-    ordered = sorted(entries.items(), key=lambda kv: kv[1]["stem"])
+    ordered = sorted(read_index(cases_dir).items(),
+                     key=lambda kv: kv[1]["stem"])
 
     policy = cfg.resample_policy
     box = cfg.bounding_box
@@ -333,8 +323,7 @@ def _cmd_resample(args) -> int:
             case_id=case_id, **extra)
         done += 1
     if done == 0:
-        raise ArtifactIOError(
-            f"resample: no completed case fields under {cases_dir}")
+        raise ArtifactIOError(f"no completed case fields under {cases_dir}")
     _stage_provenance(cfg, out_dir, done)
     print(f"resample: {done} case(s) onto {target.dims} in {out_dir}")
     return 0
@@ -356,12 +345,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
+# what the gate compares: (newest window mean, the field it is checked against)
+_GATE_FIELDS = ("velocity_avg.npy", "velocity.npy")
+
+
 def _cmd_gate(args) -> int:
     case_dir = Path(args.case)
     manifest = read_manifest(case_dir)
     grid = GridSpec.from_dict(manifest["grid"])
-    mean_k = load_npy(case_dir / "velocity_avg.npy").astype(np.float64)
-    mean_km1 = load_npy(case_dir / "velocity.npy").astype(np.float64)
+    mean_k, mean_km1 = (load_npy(case_dir / name).astype(np.float64)
+                        for name in _GATE_FIELDS)
     phi = load_npy(case_dir / "sdf.npy")
     mask = phi > 0
     report = stationarity_gate(
@@ -369,12 +362,12 @@ def _cmd_gate(args) -> int:
         h=grid.spacing[0],
         sample_area=grid.spacing[1] * grid.spacing[2],
         eps_u_max=args.eps_u, delta_phi_max=args.dphi)
-    atomic_write(case_dir / "gate_report.yaml",
-                 yaml.safe_dump(report.to_dict(), sort_keys=True))
+    atomic_write(case_dir / "gate_report.yaml", yaml.safe_dump(
+        {**report.to_dict(), "compared": list(_GATE_FIELDS)}, sort_keys=True))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"gate[{case_dir.name[:12]}]: {verdict} eps_u={report.eps_u:.3e} "
-          f"dphi={report.delta_phi:.3e} eps2={report.eps2:.3e} "
-          f"eps_inf={report.eps_inf:.3e}")
+          f"({' vs '.join(_GATE_FIELDS)}) dphi={report.delta_phi:.3e} "
+          f"eps2={report.eps2:.3e} eps_inf={report.eps_inf:.3e}")
     return 0 if report.passed else 1
 
 
@@ -383,10 +376,7 @@ def _cmd_validate(args) -> int:
     digest = config_hash(cfg)
     problems = []
     if args.scenes:
-        scene_dir = Path(args.scenes)
-        aux = {"config_frozen", "provenance", "generator_state"}
-        for path in sorted(p for p in scene_dir.glob("*.yaml")
-                           if p.stem not in aux):
+        for path in scene_sidecars(args.scenes):
             doc = read_scene_yaml(path)
             sim = doc.get("simulation_parameters", {})
             if not sim or float(sim.get("inlet_velocity_x", -1)) <= 0:

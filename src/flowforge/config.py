@@ -24,6 +24,8 @@ import yaml
 
 from .atomic import atomic_write
 from .errors import ArtifactIOError, ConfigError
+from .orchestrate import BACKENDS
+from .resample import FOOTPRINT_MODES, KERNEL_KINDS
 
 FAMILIES = ("cone", "cuboid", "cylinder", "sphere", "torus", "wedge")
 
@@ -303,14 +305,6 @@ class ResolvedConfig:
         return self.data["initial_test_repeat"]
 
     @property
-    def retry_budget(self) -> int:
-        return self.data["number_of_retries_object_creation"]
-
-    @property
-    def max_scene_restarts(self) -> int:
-        return self.data["max_scene_restarts"]
-
-    @property
     def min_volume(self) -> float:
         return self.data["min_volume"]
 
@@ -335,10 +329,6 @@ class ResolvedConfig:
         return self.data["sim_param_policy"]
 
     @property
-    def solver_policy(self) -> dict:
-        return self.data["solver_policy"]
-
-    @property
     def sdf_policy(self) -> dict:
         return self.data["sdf_policy"]
 
@@ -349,12 +339,6 @@ class ResolvedConfig:
     @property
     def orchestration_policy(self) -> dict:
         return self.data["orchestration_policy"]
-
-    def get(self, dotted: str):
-        node = self.data
-        for part in dotted.split("."):
-            node = node[part]
-        return node
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +550,9 @@ def _validate(data: dict):
              "sdf_policy.aniso: expected two positive scale factors")
 
     res = data["resample_policy"]
-    _require(res["kernel"] in ("linear", "gaussian", "shepard", "voronoi",
-                               "ellipsoidal_gaussian"),
+    _require(res["kernel"] in KERNEL_KINDS,
              "resample_policy.kernel: unknown kernel")
-    _require(res["footprint"] in ("n_closest", "radius"),
+    _require(res["footprint"] in FOOTPRINT_MODES,
              "resample_policy.footprint: unknown footprint mode")
     if res["num_neighbours"] is not None:
         _require(isinstance(res["num_neighbours"], int) and res["num_neighbours"] >= 1,
@@ -587,7 +570,7 @@ def _validate(data: dict):
     orc = data["orchestration_policy"]
     _require(isinstance(orc["lanes"], int) and orc["lanes"] >= 1,
              "orchestration_policy.lanes: must be a positive integer")
-    _require(orc["backend"] in ("slurm", "local", "dry_run"),
+    _require(orc["backend"] in BACKENDS,
              "orchestration_policy.backend: unknown backend")
 
 

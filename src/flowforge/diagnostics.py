@@ -1,5 +1,5 @@
-"""Field averaging, stationarity gating, flux/divergence/eddy-viscosity
-metrics, and dataset coverage reports.
+"""Stationarity gating, flux/divergence/eddy-viscosity metrics, and dataset
+coverage reports.
 
 Gate thresholds default to eps_u <= 1e-3 and delta_phi <= 1e-2; both are
 configuration knobs, not physics constants.  Divergence and strain-rate
@@ -19,79 +19,11 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ArtifactIOError, FieldError
-from .geometry.export import read_scene_yaml
+from .geometry.export import read_scene_yaml, scene_sidecars
 
 DEFAULT_EPS_U = 1e-3
 DEFAULT_DELTA_PHI = 1e-2
 _DELTA = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Averaging
-# ---------------------------------------------------------------------------
-class AveragingAccumulator:
-    """Compensated online mean of fields; running or batched windows.
-
-    Batched mode resets the accumulator every ``window`` samples and keeps
-    the completed window means in order.
-    """
-
-    def __init__(self, mode: str = "running", window: int | None = None):
-        if mode not in ("running", "batched"):
-            raise FieldError(f"unknown averaging mode {mode!r}")
-        if mode == "batched" and (window is None or window < 1):
-            raise FieldError("batched averaging needs a positive window")
-        self.mode = mode
-        self.window = window
-        self.count = 0
-        self._sum = None
-        self._comp = None
-        self.window_means: list[np.ndarray] = []
-
-    def add(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if self._sum is None:
-            self._sum = np.zeros_like(values)
-            self._comp = np.zeros_like(values)
-        elif values.shape != self._sum.shape:
-            raise FieldError(
-                f"field shape {values.shape} does not match accumulator "
-                f"{self._sum.shape}")
-        # Kahan step
-        y = values - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-        self.count += 1
-        if self.mode == "batched" and self.count == self.window:
-            self.window_means.append(self.mean())
-            self.count = 0
-            self._sum = np.zeros_like(self._sum)
-            self._comp = np.zeros_like(self._comp)
-
-    def mean(self) -> np.ndarray:
-        if self._sum is None or self.count == 0:
-            raise FieldError("accumulator is empty")
-        return self._sum / self.count
-
-
-def avg_diff_log(means: list[np.ndarray]) -> list[list[float]]:
-    """L2 norms of successive mean differences, one row per step, one
-    column per component (scalar fields give single-column rows)."""
-    if len(means) < 2:
-        raise FieldError("need at least two means to difference")
-    rows = []
-    for prev, cur in zip(means, means[1:]):
-        prev = np.asarray(prev, dtype=np.float64)
-        cur = np.asarray(cur, dtype=np.float64)
-        if prev.shape != cur.shape:
-            raise FieldError("mean shapes differ along the sequence")
-        if cur.ndim == 4:  # (C, nx, ny, nz)
-            rows.append([float(np.linalg.norm((cur - prev)[c].ravel()))
-                         for c in range(cur.shape[0])])
-        else:
-            rows.append([float(np.linalg.norm((cur - prev).ravel()))])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +133,6 @@ def smagorinsky_nut(u: np.ndarray, cs: float, delta: float, h: float
     return (cs * delta) ** 2 * np.sqrt(2.0 * s_sq)
 
 
-def effective_viscosity(nu0: float, nut: np.ndarray) -> np.ndarray:
-    return nu0 + np.asarray(nut)
-
-
 @dataclass
 class StationarityReport:
     eps_u: float
@@ -233,8 +161,15 @@ def stationarity_gate(mean_k: np.ndarray, mean_km1: np.ndarray,
                       eps_u_max: float = DEFAULT_EPS_U,
                       delta_phi_max: float = DEFAULT_DELTA_PHI,
                       window_id: int = 0) -> StationarityReport:
-    """Combined gate on successive means: relative L2 change, divergence
-    norms, and inlet/outlet flux balance of the newest mean."""
+    """Combined gate on two velocity fields: relative L2 change from
+    ``mean_km1`` to ``mean_k``, divergence norms, and inlet/outlet flux
+    balance of ``mean_k``.
+
+    ``forge gate`` passes a case's ``velocity_avg.npy`` as ``mean_k`` and
+    its ``velocity.npy`` as ``mean_km1``.  The stand-in solver of the
+    ``local`` backend writes the same array to both files, so ``eps_u`` is
+    0 on every such case and only the divergence and flux terms can fail.
+    """
     eps_u = stationarity_eps(mean_k, mean_km1)
     eps2, eps_inf = divergence_metrics(mean_k, mask, h)
     delta_phi = flux_balance(mean_k, mask, sample_area)
@@ -285,8 +220,7 @@ def coverage_report(scene_dir, out_dir, roi_x=(146.0, 1800.0),
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         raise ArtifactIOError(f"report output directory missing: {out_dir}")
-    aux = {"config_frozen", "provenance", "generator_state"}
-    paths = [p for p in sorted(scene_dir.glob("*.yaml")) if p.stem not in aux]
+    paths = scene_sidecars(scene_dir)
     if not paths:
         raise ArtifactIOError(f"no scene sidecars under {scene_dir}")
 

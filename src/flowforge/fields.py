@@ -60,12 +60,6 @@ class GridSpec:
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    @property
-    def upper(self) -> tuple[float, float, float]:
-        """Position of the last sample along each axis."""
-        return tuple(self.origin[a] + self.spacing[a] * (self.dims[a] - 1)
-                     for a in range(3))
-
     def to_dict(self) -> dict:
         return {"origin": list(self.origin), "spacing": list(self.spacing),
                 "dims": list(self.dims)}

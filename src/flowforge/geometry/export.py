@@ -19,6 +19,17 @@ from .scene import Scene
 from .stl import write_stl
 
 
+# what the stages write beside the scene pairs; none of it is a scene
+_STAGE_FILE_STEMS = {"config_frozen", "provenance", "generator_state"}
+
+
+def scene_sidecars(scene_dir) -> list[Path]:
+    """Every scene YAML sidecar under ``scene_dir``, sorted by name; the
+    frozen config and other stage files beside them are left out."""
+    return [p for p in sorted(Path(scene_dir).glob("*.yaml"))
+            if p.stem not in _STAGE_FILE_STEMS]
+
+
 def scene_filenames(prefix: str, index: int, family: str | None = None
                     ) -> tuple[str, str]:
     stem = f"{prefix}_{family}_{index}" if family else f"{prefix}_{index}"

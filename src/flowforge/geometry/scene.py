@@ -37,7 +37,6 @@ from .primitives import (FAMILY_PARAM_ORDER, MAX_FAMILY_PARAMS, Solid,
 GEOM_DRAW_WIDTH = 1 + MAX_FAMILY_PARAMS + 3 + 3 + 2
 _PARAM_SLOT = 1
 _POS_SLOT = 1 + MAX_FAMILY_PARAMS
-_QUAT_SLOT = _POS_SLOT + 3
 
 
 def draw_dimension(cfg_data: dict) -> int:
@@ -310,12 +309,8 @@ def build_scene(cfg, state: GeneratorState) -> Scene:
     Slot failures discard and restart the whole scene; exceeding the
     configured restart budget means the configuration is infeasible.
     """
-    from ..config import ResolvedConfig  # circular-import guard at call time
-    data = cfg.data if isinstance(cfg, ResolvedConfig) else cfg
-    box = cfg.bounding_box if isinstance(cfg, ResolvedConfig) else None
-    if box is None:
-        from ..config import BoundingBox
-        box = BoundingBox(**data["bounding_box"])
+    data = cfg.data
+    box = cfg.bounding_box
 
     for fam, weight in data["shape_mix"].items():
         if weight > 0:

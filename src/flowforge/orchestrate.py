@@ -39,13 +39,15 @@ import yaml
 from .atomic import atomic_write
 from .errors import ArtifactIOError, OrchestrationError
 from .fields import GridSpec, export_npy, load_npy, write_field_sidecar
-from .geometry.export import read_scene_yaml
+from .geometry.export import read_scene_yaml, scene_sidecars
 
 _PLACEHOLDER_RE = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)@")
 _BOUND_RE = re.compile(r"^#BOUND\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.MULTILINE)
 _SBATCH_RE = re.compile(r"Submitted batch job (\d+)")
 # libyaml's parser where installed; it builds the same values, 10x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+BACKENDS = ("slurm", "local", "dry_run")
 
 REQUIRED_PLACEHOLDERS = (
     "omega", "inlet_velocity_x", "inlet_velocity_y", "inlet_velocity_z",
@@ -133,16 +135,11 @@ def case_id_for(stl_bytes: bytes, yaml_bytes: bytes, config_digest: str) -> str:
         stl_bytes + yaml_bytes + config_digest.encode("ascii")).hexdigest()
 
 
-_AUX_STEMS = {"config_frozen", "provenance", "generator_state"}
-
-
 def discover_pairs(geometry_dir) -> list[tuple[str, Path, Path]]:
     """Paired (stem, yaml, stl) inputs, sorted; an orphan is an error."""
     geometry_dir = Path(geometry_dir)
-    yamls = {p.stem: p for p in sorted(geometry_dir.glob("*.yaml"))
-             if p.stem not in _AUX_STEMS}
-    stls = {p.stem: p for p in sorted(geometry_dir.glob("*.stl"))
-            if p.stem not in _AUX_STEMS}
+    yamls = {p.stem: p for p in scene_sidecars(geometry_dir)}
+    stls = {p.stem: p for p in sorted(geometry_dir.glob("*.stl"))}
     orphans = sorted(set(yamls) ^ set(stls))
     if orphans:
         raise OrchestrationError(
@@ -394,6 +391,16 @@ def _write_index(out_root: Path):
                  yaml.safe_dump(entries, sort_keys=True))
 
 
+def read_index(cases_dir) -> dict:
+    """``index.yaml`` under ``cases_dir``: case id -> stem, lane, job id and
+    status of every case a submission has run."""
+    path = Path(cases_dir) / "index.yaml"
+    if not path.exists():
+        raise ArtifactIOError(f"no case index at {path}")
+    return yaml.load(path.read_text(encoding="utf-8"),
+                     Loader=_YAML_LOADER) or {}
+
+
 def _scheduler_argv(submit_command: str, record: CaseRecord,
                     previous: str | None) -> list[str]:
     """Scheduler argv for one case's job script: it runs in its case
@@ -462,7 +469,7 @@ def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
     concurrently and calls ``runner`` (default: the synthetic solver) per
     case; a runner failure ends only its own lane.
     """
-    if backend not in ("slurm", "local", "dry_run"):
+    if backend not in BACKENDS:
         raise OrchestrationError(f"unknown backend {backend!r}")
     out_root = Path(out_root)
 
@@ -532,8 +539,10 @@ def synthetic_solver(case_dir) -> tuple[Path, Path]:
 
     Stand-in for the external solver so orchestration, diagnostics, and
     resampling can be exercised end to end: u equals the inlet velocity
-    where the SDF is positive and zero inside solids.  A second "averaged"
-    copy feeds the averaging/diagnostic path.
+    where the SDF is positive and zero inside solids.  It has no time
+    dependence, so the same array goes to ``velocity.npy`` and
+    ``velocity_avg.npy``, and ``forge gate``, which compares the two,
+    reports ``eps_u`` = 0 on every case it ran.
     """
     case_dir = Path(case_dir)
     manifest = read_manifest(case_dir)

@@ -33,7 +33,6 @@ Besides the YAML policy block, the classic INI layout is accepted
 from __future__ import annotations
 
 import configparser
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,8 +102,6 @@ class FootprintSpec:
 class SourcePoints:
     positions: np.ndarray
     values: np.ndarray
-    origin_tag: str = "unstructured"
-    grid: GridSpec | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
@@ -293,7 +290,12 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
         offsets = index.positions[idx] - targets[:, None, :]
         weights = _batch_weights(kernel, offsets, dist, radii)
         weights = np.where(valid, weights, 0.0)
-        wsum = weights.sum(axis=1)
+        # columns summed left to right, so a row's sum depends only on its
+        # own footprint, not on the operator width (NumPy's pairwise sum
+        # regroups rows of 8 or more columns)
+        wsum = np.zeros(len(weights))
+        for column in weights.T:
+            wsum += column
         ok = (wsum > 0) & np.isfinite(wsum) & has_any
         exact_hit = has_any & (dist[:, 0] == 0.0)
         covered = ok | exact_hit
@@ -414,36 +416,6 @@ def sample_values(field: DenseField) -> np.ndarray:
     if field.components == 1:
         return field.values.reshape(-1, 1)
     return np.moveaxis(field.values, 0, -1).reshape(-1, 3)
-
-
-def structured_source(field: DenseField) -> SourcePoints:
-    """Treat a dense field's samples as interpolation sources."""
-    return SourcePoints(positions=field.grid.sample_positions(),
-                        values=sample_values(field),
-                        origin_tag="structured", grid=field.grid)
-
-
-def read_csv_source(path) -> SourcePoints:
-    """Unstructured sources from CSV rows x,y,z,f1[,f2,f3] (header optional)."""
-    path = Path(path)
-    if not path.exists():
-        raise ArtifactIOError(f"source CSV not found: {path}")
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.reader(handle):
-            if not record:
-                continue
-            try:
-                rows.append([float(x) for x in record])
-            except ValueError:
-                continue  # header row
-    if not rows:
-        raise FieldError(f"{path}: no numeric rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if data.shape[1] < 4:
-        raise FieldError(f"{path}: expected columns x,y,z,f...")
-    return SourcePoints(positions=data[:, :3], values=data[:, 3:],
-                        origin_tag="unstructured")
 
 
 def box_prefilter(field: DenseField, target: GridSpec) -> DenseField:

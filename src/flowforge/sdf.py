@@ -285,22 +285,6 @@ def signed_distance_at(accel: MeshAccel, point) -> float:
     return float(accel.signed_distance(np.asarray(point).reshape(1, 3))[0])
 
 
-def point_mesh_distance(points: np.ndarray, accel: MeshAccel,
-                        chunk: int = 2048) -> np.ndarray:
-    """Unsigned distances for many points, chunked brute force over leaves.
-
-    Exact, vectorized alternative to per-point BVH traversal when the
-    point count is large relative to the triangle count.
-    """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    out = np.full(len(points), np.inf)
-    for start in range(0, len(points), chunk):
-        sl = slice(start, min(start + chunk, len(points)))
-        d2, _, _ = _point_triangle(points[sl], accel._base, accel._e0, accel._e1)
-        out[sl] = np.sqrt(d2.min(axis=1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Narrow-band voxelization
 # ---------------------------------------------------------------------------

@@ -43,11 +43,6 @@ class SimParams:
     mach_ok_global: bool = True
     tau_capped: bool = False
 
-    @property
-    def lu(self) -> float:
-        """Metadata alias: the lattice viscosity."""
-        return self.nu0
-
     def validate(self, policy: dict):
         """Re-check the emitted invariants against the governing policy."""
         ux = self.inlet_velocity[0]

@@ -2,12 +2,15 @@
 
 These deliberately avoid the production code paths: the Sobol reference is
 the classic iterative state-update generator, the interpolation oracle is
-an all-pairs loop, and mesh volumes come from closed forms.
+an all-pairs loop, mesh volumes come from closed forms, and the clearance
+oracle scans every triangle with the point-triangle kernel instead of
+walking the BVH.
 """
 
 import numpy as np
 
 from flowforge._directions import M_INIT, POLY
+from flowforge.sdf import _point_triangle
 
 SOBOL_BITS = 32
 
@@ -142,3 +145,15 @@ def surface_samples(mesh, max_edge):
     for t in range(len(corners)):
         pts.append(a[t] + bu * (b[t] - a[t]) + bv * (c[t] - a[t]))
     return np.vstack(pts)
+
+
+def point_mesh_distance(points, accel, chunk=2048):
+    """Unsigned distances for many points, chunked brute force over every
+    triangle of ``accel``'s mesh (no BVH traversal)."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    out = np.full(len(points), np.inf)
+    for start in range(0, len(points), chunk):
+        sl = slice(start, min(start + chunk, len(points)))
+        d2, _, _ = _point_triangle(points[sl], accel._base, accel._e0, accel._e1)
+        out[sl] = np.sqrt(d2.min(axis=1))
+    return out

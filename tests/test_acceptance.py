@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import IterativeSobol, brute_interpolate, surface_samples
+from _oracles import (IterativeSobol, brute_interpolate, point_mesh_distance,
+                      surface_samples)
 from flowforge.cli import main as forge_main
 from flowforge.config import resolve_config
 from flowforge.diagnostics import (divergence_metrics, flux_balance,
@@ -31,7 +32,7 @@ from flowforge.resample import (FootprintSpec, KernelSpec, SourcePoints,
 from flowforge.sampling import (GeneratorState, advance_on_reject,
                                 freeze_dimension, load_state, next_point,
                                 save_state, sobol_point)
-from flowforge.sdf import MeshAccel, point_mesh_distance, voxelize
+from flowforge.sdf import MeshAccel, voxelize
 from flowforge.simparams import (mach_check, nu_from_tau, reynolds,
                                  target_reynolds, tau_from_nu)
 

@@ -270,6 +270,7 @@ class TestReportAndGate:
         report = yaml.safe_load(
             (pipeline["cases"] / case_id / "gate_report.yaml").read_text())
         assert report["passed"] is True and report["eps_u"] == 0.0
+        assert report["compared"] == ["velocity_avg.npy", "velocity.npy"]
 
     def test_gate_fails_on_imbalance(self, pipeline):
         index = yaml.safe_load((pipeline["cases"] / "index.yaml").read_text())

@@ -4,51 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from flowforge.diagnostics import (AveragingAccumulator, avg_diff_log,
-                                   coverage_report, divergence_metrics,
-                                   effective_viscosity, flux_balance,
-                                   smagorinsky_nut, stationarity_eps,
-                                   stationarity_gate)
+from flowforge.diagnostics import (coverage_report, divergence_metrics,
+                                   flux_balance, smagorinsky_nut,
+                                   stationarity_eps, stationarity_gate)
 from flowforge.errors import ArtifactIOError, FieldError
 
 
 def grid_coords(n, h):
     axis = np.arange(n) * h
     return np.meshgrid(axis, axis, axis, indexing="ij")
-
-
-class TestAveraging:
-    def test_running_mean_exact(self, rng):
-        acc = AveragingAccumulator()
-        fields = [rng.normal(size=(4, 4, 4)) for _ in range(7)]
-        for f in fields:
-            acc.add(f)
-        # compensated sequential vs numpy pairwise: both ulp-scale exact
-        np.testing.assert_allclose(acc.mean(), np.mean(fields, axis=0),
-                                   rtol=1e-13, atol=1e-15)
-
-    def test_kahan_compensation_tiny_increments(self):
-        acc = AveragingAccumulator()
-        big = np.full((2, 2), 1e12)
-        tiny = np.full((2, 2), 1.0)
-        acc.add(big)
-        for _ in range(1000):
-            acc.add(tiny)
-        expected = (1e12 + 1000.0) / 1001.0
-        np.testing.assert_allclose(acc.mean(), expected, rtol=1e-15)
-
-    def test_batched_window_resets(self, rng):
-        acc = AveragingAccumulator(mode="batched", window=3)
-        fields = [rng.normal(size=(3, 3)) for _ in range(9)]
-        for f in fields:
-            acc.add(f)
-        assert len(acc.window_means) == 3
-        np.testing.assert_allclose(acc.window_means[1],
-                                   np.mean(fields[3:6], axis=0), rtol=1e-14)
-
-    def test_empty_mean_is_error(self):
-        with pytest.raises(FieldError, match="empty"):
-            AveragingAccumulator().mean()
 
 
 class TestStationarityEps:
@@ -149,29 +113,6 @@ class TestSmagorinsky:
         u = np.stack([-omega * y, omega * x, np.zeros_like(x)])
         nut = smagorinsky_nut(u, 0.16, 1.0, h)
         assert np.abs(nut[1:-1, 1:-1, 1:-1]).max() < 1e-14
-
-    def test_effective_viscosity_composition(self):
-        nut = np.full((2, 2, 2), 1e-4)
-        np.testing.assert_allclose(effective_viscosity(0.01, nut), 0.0101)
-
-
-class TestAvgDiffLog:
-    def test_constant_sequence_zeros(self):
-        m = np.ones((3, 4, 4, 4))
-        rows = avg_diff_log([m, m, m])
-        assert rows == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-
-    def test_arithmetic_sequence_constant_diffs(self, rng):
-        v = rng.normal(size=(3, 4, 4, 4))
-        means = [k * v for k in range(4)]
-        rows = avg_diff_log(means)
-        expected = [float(np.linalg.norm(v[c].ravel())) for c in range(3)]
-        for row in rows:
-            np.testing.assert_allclose(row, expected, rtol=1e-12)
-
-    def test_diff_count(self, rng):
-        means = [rng.normal(size=(2, 2, 2)) for _ in range(6)]
-        assert len(avg_diff_log(means)) == 5
 
 
 class TestGate:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,7 @@ from flowforge.resample import (_TIE_BUFFER, FootprintSpec, KernelSpec,
                                 _neighbor_sets_radius, _to_field, apply,
                                 build_index, build_operator,
                                 default_k_for_grid, interpolate,
-                                make_target_grid, read_csv_source,
-                                structured_source, tensor_bytes)
+                                make_target_grid, tensor_bytes)
 from flowforge.fields import DenseField, GridSpec
 
 ALL_KERNELS = ["linear", "gaussian", "shepard", "voronoi",
@@ -221,7 +222,9 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
 
     offsets = index.positions[idx] - targets[:, None, :]
     weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii), 0.0)
-    wsum = weights.sum(axis=1)
+    wsum = np.zeros(n_targets)
+    for column in weights.T:    # left to right, the specified sum order
+        wsum += column
     has_any = valid[:, 0]
     anchor = values[np.where(has_any, idx[:, 0], 0)]
     numer = np.einsum("tn,tnc->tc", weights, values[idx] - anchor[:, None, :])
@@ -382,6 +385,22 @@ class TestOperatorEquivalence:
                                         lattice_knn_sets[layout])
         assert np.array_equal(field.values, want)
         assert summary["holes"] == holes
+
+    @pytest.mark.parametrize("kind", ["gaussian", "shepard",
+                                      "ellipsoidal_gaussian"])
+    def test_row_sums_do_not_depend_on_width(self, kind, channel_sources):
+        """Each row's weight sum is its own weights added left to right.
+        Node 0 of this target is a cell centre, tied to 8 corners, so the
+        operator is 8 wide, a width at which NumPy's pairwise sum regroups
+        every row."""
+        target = GridSpec(origin=(8, 8, 8), spacing=(15.7, 15.7, 15.7),
+                          dims=(120, 30, 30))
+        op = build_operator(channel_sources.positions, target,
+                            KernelSpec(kind), FootprintSpec("n_closest", k=4))
+        assert op.weights.shape[1] == 8
+        want = [functools.reduce(float.__add__, row)
+                for row in op.weights.tolist()]
+        assert np.array_equal(op.wsum, want)
 
     @pytest.mark.parametrize("layout", sorted(LATTICE_TARGETS))
     def test_narrow_probe_matches_wide_query_on_lattices(self, layout,
@@ -564,20 +583,3 @@ class TestPrefilter:
         same = make_target_grid((0, 0, 0), (7, 7, 7), (7, 7, 7))
         out = box_prefilter(field, same)
         np.testing.assert_array_equal(out.values, field.values)
-
-
-class TestSources:
-    def test_structured_round_trip(self):
-        grid = GridSpec(origin=(0, 0, 0), spacing=(2, 2, 2), dims=(3, 3, 3))
-        values = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
-        src = structured_source(DenseField(grid, values))
-        assert src.origin_tag == "structured"
-        assert len(src.positions) == 27
-        assert src.values[4, 0] == values.ravel()[4]
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "src.csv"
-        path.write_text("x,y,z,f\n0,0,0,1.5\n1,0,0,2.5\n")
-        src = read_csv_source(path)
-        assert src.origin_tag == "unstructured"
-        assert src.values.tolist() == [[1.5], [2.5]]

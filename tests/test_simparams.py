@@ -156,7 +156,6 @@ class TestSampleSimParams:
         params = sample_sim_params(cfg.data, state)
         assert params.tau > 0.5
         assert params.omega == pytest.approx(1.0 / params.tau, rel=1e-12)
-        assert params.lu == params.nu0
         lo, hi = cfg.sim_param_policy["re_band"]
         assert lo <= params.re <= hi
         achieved = reynolds(params.vector_magnitude, 512.0, params.nu0)
