@@ -18,10 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .atomic import atomic_open, atomic_write
+from .atomic import atomic_open
 from .config import (ProvenanceRecord, ResolvedConfig, config_hash,
                      resolve_config, write_provenance)
 from .diagnostics import coverage_report, stationarity_gate
@@ -38,6 +37,7 @@ from .resample import (FootprintSpec, KernelSpec, ResampleOperator, apply,
                        sample_values)
 from .sampling import GeneratorState, freeze_dimension, load_state, save_state
 from .sdf import MeshAccel, voxelize
+from .yamlio import write_yaml
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,8 +362,8 @@ def _cmd_gate(args) -> int:
         h=grid.spacing[0],
         sample_area=grid.spacing[1] * grid.spacing[2],
         eps_u_max=args.eps_u, delta_phi_max=args.dphi)
-    atomic_write(case_dir / "gate_report.yaml", yaml.safe_dump(
-        {**report.to_dict(), "compared": list(_GATE_FIELDS)}, sort_keys=True))
+    write_yaml(case_dir / "gate_report.yaml",
+               {**report.to_dict(), "compared": list(_GATE_FIELDS)})
     verdict = "PASS" if report.passed else "FAIL"
     print(f"gate[{case_dir.name[:12]}]: {verdict} eps_u={report.eps_u:.3e} "
           f"({' vs '.join(_GATE_FIELDS)}) dphi={report.delta_phi:.3e} "

@@ -20,12 +20,11 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .atomic import atomic_write
 from .errors import ArtifactIOError, ConfigError
 from .orchestrate import BACKENDS
 from .resample import FOOTPRINT_MODES, KERNEL_KINDS
+from .yamlio import YAMLError, loads, read_yaml, write_yaml
 
 FAMILIES = ("cone", "cuboid", "cylinder", "sphere", "torus", "wedge")
 
@@ -219,7 +218,7 @@ def _normalize_legacy(user: dict) -> dict:
             if not path.exists():
                 raise ConfigError(
                     f"simulation_parameters: file not found: {path}")
-            sim = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+            sim = read_yaml(path) or {}
         if not isinstance(sim, dict):
             raise ConfigError("simulation_parameters: expected a mapping or path")
         policy = dict(user.get("sim_param_policy", {}))
@@ -285,10 +284,6 @@ class ResolvedConfig:
         return tuple(self.data["roi_x"])
 
     @property
-    def number_of_objects(self) -> int:
-        return self.data["number_of_objects"]
-
-    @property
     def repeat(self) -> int:
         return self.data["repeat"]
 
@@ -303,26 +298,6 @@ class ResolvedConfig:
     @property
     def initial_test_repeat(self) -> int:
         return self.data["initial_test_repeat"]
-
-    @property
-    def min_volume(self) -> float:
-        return self.data["min_volume"]
-
-    @property
-    def clearance(self) -> float:
-        return self.data["clearance"]
-
-    @property
-    def shape_mix(self) -> dict:
-        return self.data["shape_mix"]
-
-    @property
-    def shapes(self) -> dict:
-        return self.data["shapes"]
-
-    @property
-    def pose(self) -> dict:
-        return self.data["pose"]
 
     @property
     def sim_param_policy(self) -> dict:
@@ -389,8 +364,8 @@ def parse_override(item: str) -> tuple[list[str], object]:
     if not key:
         raise ConfigError(f"override {item!r} has an empty key")
     try:
-        value = yaml.safe_load(raw) if raw.strip() else ""
-    except yaml.YAMLError as exc:
+        value = loads(raw) if raw.strip() else ""
+    except YAMLError as exc:
         raise ConfigError(f"override {item!r}: unparseable value: {exc}") from exc
     return key.split("."), value
 
@@ -591,8 +566,8 @@ def resolve_config(base_file=None, override_list: list[str] | None = None,
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
+            loaded = read_yaml(path)
+        except YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
             raise ConfigError(f"{where}: config parse failure: {exc}") from exc
@@ -634,9 +609,7 @@ def config_hash(cfg: ResolvedConfig) -> str:
 
 def write_frozen_config(cfg: ResolvedConfig, path) -> Path:
     """Write a snapshot that resolves back to an identical config."""
-    path = Path(path)
-    text = yaml.safe_dump(cfg.data, sort_keys=True, default_flow_style=False)
-    return atomic_write(path, text)
+    return write_yaml(path, cfg.data)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .atomic import atomic_open, atomic_write
+from .atomic import atomic_open
 from .errors import ArtifactIOError, FieldError
+from .yamlio import read_yaml, write_yaml
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def write_field_sidecar(path, grid: GridSpec, **extra) -> Path:
     payload["units"] = "lu"
     payload.update(extra)
     try:
-        atomic_write(path, yaml.safe_dump(payload, sort_keys=True))
+        write_yaml(path, payload)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
     return path
@@ -138,7 +138,7 @@ def read_field_sidecar(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ArtifactIOError(f"field sidecar not found: {path}")
-    return yaml.safe_load(path.read_text(encoding="utf-8"))
+    return read_yaml(path)
 
 
 # ---------------------------------------------------------------------------

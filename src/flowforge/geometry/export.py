@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import yaml
-
-from ..atomic import atomic_write
 from ..errors import ArtifactIOError, GeometryError
+from ..yamlio import YAMLError, read_yaml, write_yaml
 from .mesh import concatenate
 from .scene import Scene
 from .stl import write_stl
@@ -113,8 +111,7 @@ def export_scene(scene: Scene, out_dir, prefix: str, index: int,
     sidecar = scene_sidecar(scene, cfg, config_digest, job_identifier)
     yaml_path = out_dir / yaml_name
     try:
-        atomic_write(yaml_path, yaml.safe_dump(
-            sidecar, sort_keys=False, default_flow_style=False))
+        write_yaml(yaml_path, sidecar, sort_keys=False)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write sidecar {yaml_path}: {exc}") from exc
     return stl_path, yaml_path
@@ -146,8 +143,8 @@ def read_scene_yaml(path) -> dict:
     if not path.exists():
         raise ArtifactIOError(f"scene sidecar not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+        raw = read_yaml(path)
+    except YAMLError as exc:
         raise ArtifactIOError(f"unparseable scene sidecar {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ArtifactIOError(f"scene sidecar {path} is not a mapping")

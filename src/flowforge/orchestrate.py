@@ -34,18 +34,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .atomic import atomic_write
 from .errors import ArtifactIOError, OrchestrationError
 from .fields import GridSpec, export_npy, load_npy, write_field_sidecar
 from .geometry.export import read_scene_yaml, scene_sidecars
+from .yamlio import dumps, read_yaml, write_yaml
 
 _PLACEHOLDER_RE = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)@")
 _BOUND_RE = re.compile(r"^#BOUND\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.MULTILINE)
 _SBATCH_RE = re.compile(r"Submitted batch job (\d+)")
-# libyaml's parser where installed; it builds the same values, 10x faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 BACKENDS = ("slurm", "local", "dry_run")
 
@@ -119,9 +117,6 @@ def patch_template(template: str, values: dict, precision: int = 5) -> str:
 @dataclass
 class CaseRecord:
     case_id: str
-    stl_hash: str
-    yaml_hash: str
-    config_digest: str
     case_dir: Path
     stem: str
     lane: int = -1
@@ -151,15 +146,14 @@ def discover_pairs(geometry_dir) -> list[tuple[str, Path, Path]]:
 
 
 def _write_manifest(case_dir: Path, manifest: dict):
-    atomic_write(case_dir / "manifest.yaml",
-                 yaml.safe_dump(manifest, sort_keys=True))
+    write_yaml(case_dir / "manifest.yaml", manifest)
 
 
 def read_manifest(case_dir) -> dict:
     path = Path(case_dir) / "manifest.yaml"
     if not path.exists():
         raise OrchestrationError(f"manifest missing in {case_dir}")
-    return yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    return read_yaml(path)
 
 
 def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
@@ -210,11 +204,11 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
     omega = float(sim.get("omega", 1.0 / (3.0 * lu + 0.5)))
     tau = float(sim.get("tau", 3.0 * lu + 0.5))
 
-    trailer = yaml.safe_dump({"provenance_trailer": {
+    trailer = dumps({"provenance_trailer": {
         "job_identifier": sim.get("job_identifier_", yaml_path.stem),
         "LU": lu,
         "dx": dx,
-    }}, sort_keys=True)
+    }})
     atomic_write(case_dir / "metadata.yaml",
                  yaml_bytes + b"\n" + trailer.encode("utf-8"))
 
@@ -310,9 +304,6 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
 def _record_from_manifest(case_dir: Path, manifest: dict) -> CaseRecord:
     return CaseRecord(
         case_id=manifest["case_id"],
-        stl_hash=manifest["hashes"]["stl"],
-        yaml_hash=manifest["hashes"]["yaml"],
-        config_digest=manifest["hashes"]["config"],
         case_dir=Path(case_dir),
         stem=Path(manifest["source"]["yaml"]).stem,
         lane=manifest.get("lane", -1),
@@ -387,8 +378,7 @@ def _write_index(out_root: Path):
                 "stem": record.stem, "lane": record.lane,
                 "job_id": record.job_id, "status": record.status,
             }
-    atomic_write(out_root / "index.yaml",
-                 yaml.safe_dump(entries, sort_keys=True))
+    write_yaml(out_root / "index.yaml", entries)
 
 
 def read_index(cases_dir) -> dict:
@@ -397,8 +387,7 @@ def read_index(cases_dir) -> dict:
     path = Path(cases_dir) / "index.yaml"
     if not path.exists():
         raise ArtifactIOError(f"no case index at {path}")
-    return yaml.load(path.read_text(encoding="utf-8"),
-                     Loader=_YAML_LOADER) or {}
+    return read_yaml(path) or {}
 
 
 def _scheduler_argv(submit_command: str, record: CaseRecord,
@@ -519,10 +508,13 @@ def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
             record.lane, record.job_id = lane_no, f"local-{lane_no}.{position}"
             try:
                 runner(record.case_dir)
-            except Exception:  # a failure isolates the lane tail
+            except Exception as exc:  # a failure isolates the lane tail
+                # type and message only: a traceback is not byte-stable
                 record.status = "failed"
+                record.manifest["error"] = f"{type(exc).__name__}: {exc}"
             else:
                 record.status = "completed"
+                record.manifest.pop("error", None)
             _persist(record)
             return record.job_id if record.status == "completed" else None
 

@@ -1,0 +1,36 @@
+"""The one YAML dialect of every artifact, and the only module that imports
+PyYAML: safe tags only, block style, keys sorted unless the caller keeps
+insertion order.  libyaml's C loader and dumper are used when PyYAML has
+them; they give the same values and bytes as the pure-Python classes,
+several times faster.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import yaml
+
+from .atomic import atomic_write
+
+YAMLError = yaml.YAMLError
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def loads(text: str):
+    """The value of one YAML document; None when it is empty."""
+    return yaml.load(text, Loader=_LOADER)
+
+
+def dumps(obj, sort_keys: bool = True) -> str:
+    return yaml.dump(obj, Dumper=_DUMPER, sort_keys=sort_keys)
+
+
+def read_yaml(path):
+    return loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_yaml(path, obj, sort_keys: bool = True) -> Path:
+    """Atomically replace ``path`` with ``dumps(obj, sort_keys)``."""
+    return atomic_write(path, dumps(obj, sort_keys))

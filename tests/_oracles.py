@@ -3,14 +3,15 @@
 These deliberately avoid the production code paths: the Sobol reference is
 the classic iterative state-update generator, the interpolation oracle is
 an all-pairs loop, mesh volumes come from closed forms, and the clearance
-oracle scans every triangle with the point-triangle kernel instead of
-walking the BVH.
+oracle scans every triangle by plane projection, barycentric sign tests
+and clamped edge distances, where the production kernel
+(``sdf._point_triangle``) splits the triangle's plane into closest-point
+regions and the production guards walk a BVH.
 """
 
 import numpy as np
 
 from flowforge._directions import M_INIT, POLY
-from flowforge.sdf import _point_triangle
 
 SOBOL_BITS = 32
 
@@ -147,13 +148,44 @@ def surface_samples(mesh, max_edge):
     return np.vstack(pts)
 
 
-def point_mesh_distance(points, accel, chunk=2048):
-    """Unsigned distances for many points, chunked brute force over every
-    triangle of ``accel``'s mesh (no BVH traversal)."""
+def _dot(x, y):
+    return np.einsum("...j,...j->...", x, y)
+
+
+def point_triangle_distances(points, corners):
+    """(K, T) unsigned distances from K points to the T triangles of
+    ``corners`` (T, 3, 3).  Where a point's projection onto a triangle's
+    plane has every barycentric coordinate >= 0 the distance is its height
+    over the plane; elsewhere it is the nearest of the three edges, each
+    a clamped point-segment distance."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 1, 3)
+    corners = np.asarray(corners, dtype=np.float64)
+    n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    n2 = _dot(n, n)
+    shape = (len(p), len(corners))
+    inside = np.broadcast_to(n2 > 0, shape).copy()
+    edges = np.full(shape, np.inf)
+    for i in range(3):
+        u, v = corners[:, i], corners[:, (i + 1) % 3]
+        e = v - u
+        pu = p - u
+        # (p-u) . (n x e) = (e x (p-u)) . n: |n|^2 times the barycentric
+        # coordinate of the corner opposite this edge
+        inside &= _dot(pu, np.cross(n, e)) >= 0
+        t = np.clip(_dot(pu, e) / np.maximum(_dot(e, e), 1e-300), 0.0, 1.0)
+        off = pu - t[..., None] * e
+        edges = np.minimum(edges, np.sqrt(_dot(off, off)))
+    height = np.abs(_dot(p - corners[:, 0], n)) / np.sqrt(
+        np.where(n2 > 0, n2, 1.0))
+    return np.where(inside, height, edges)
+
+
+def point_mesh_distance(points, mesh, pairs=1 << 18):
+    """Unsigned distance from each point to ``mesh``, brute force over every
+    triangle, about ``pairs`` point-triangle pairs at a time."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    out = np.full(len(points), np.inf)
-    for start in range(0, len(points), chunk):
-        sl = slice(start, min(start + chunk, len(points)))
-        d2, _, _ = _point_triangle(points[sl], accel._base, accel._e0, accel._e1)
-        out[sl] = np.sqrt(d2.min(axis=1))
-    return out
+    chunk = max(1, pairs // len(mesh.corners))
+    return np.concatenate([
+        point_triangle_distances(points[start:start + chunk],
+                                 mesh.corners).min(axis=1)
+        for start in range(0, len(points), chunk)])

@@ -32,7 +32,7 @@ from flowforge.resample import (FootprintSpec, KernelSpec, SourcePoints,
 from flowforge.sampling import (GeneratorState, advance_on_reject,
                                 freeze_dimension, load_state, next_point,
                                 save_state, sobol_point)
-from flowforge.sdf import MeshAccel, voxelize
+from flowforge.sdf import voxelize
 from flowforge.simparams import (mach_check, nu_from_tau, reynolds,
                                  target_reynolds, tau_from_nu)
 
@@ -233,14 +233,13 @@ def test_07_feasibility_soundness():
             "repeat": 200})
         state = GeneratorState(mode="sobol", seed=cfg.seed)
         freeze_dimension(state, draw_dimension(cfg.data))
-        c_min = cfg.clearance
+        c_min = cfg.data["clearance"]
         spacing = c_min / 4.0
         box = cfg.bounding_box
 
         for _ in range(200):
             scene = build_scene(cfg, state)
             assert len(scene.objects) == 2
-            accels = {}
             for obj in scene.objects:
                 # ROI and domain
                 assert 146.0 <= obj.pose.position[0] <= 1800.0
@@ -248,7 +247,7 @@ def test_07_feasibility_soundness():
                 assert (lo >= np.asarray(box.mins) - 1e-6).all()
                 assert (hi <= np.asarray(box.maxs) + 1e-6).all()
                 # volume
-                assert obj.volume >= cfg.min_volume
+                assert obj.volume >= cfg.data["min_volume"]
 
             # non-intersection: dense interior sampling at c_min/4
             for a, b in permutations(scene.objects, 2):
@@ -274,9 +273,7 @@ def test_07_feasibility_soundness():
                         & (samples <= hi_b + 2 * c_min)).all(axis=1)
                 if not near.any():
                     continue
-                if id(b) not in accels:
-                    accels[id(b)] = MeshAccel(b.mesh, check=False)
-                dist = point_mesh_distance(samples[near], accels[id(b)])
+                dist = point_mesh_distance(samples[near], b.mesh)
                 assert dist.min() >= c_min - 1e-9, \
                     f"clearance {dist.min():.3f} < {c_min}"
 

@@ -16,7 +16,7 @@ class TestResolve:
         cfg = resolve_config()
         assert cfg.bounding_box.extents == (2048.0, 512.0, 512.0)
         assert cfg.roi_x == (146.0, 1800.0)
-        assert cfg.clearance == 32.0  # 2 * default dx
+        assert cfg.data["clearance"] == 32.0  # 2 * default dx
 
     def test_dx_override_implies_preset(self):
         cfg = resolve_config(override_list=["sdf_policy.dx=8"])
@@ -26,7 +26,7 @@ class TestResolve:
 
     def test_simple_override(self):
         cfg = resolve_config(override_list=["number_of_objects=2"])
-        assert cfg.number_of_objects == 2
+        assert cfg.data["number_of_objects"] == 2
 
     def test_list_override_bracket_literal(self):
         cfg = resolve_config(
@@ -120,8 +120,8 @@ number_of_retries_object_creation: 100
 """)
         cfg = resolve_config(main)
         assert cfg.sampling_mode == "uniform"
-        assert cfg.shape_mix["torus"] == 0.5
-        assert cfg.shape_mix["wedge"] == 0.0       # not in the factory list
+        assert cfg.data["shape_mix"]["torus"] == 0.5
+        assert cfg.data["shape_mix"]["wedge"] == 0.0  # not in the factory list
         assert cfg.sim_param_policy["periodic_axes"] == {
             "x": False, "y": False, "z": True}
         assert cfg.sim_param_policy["magnitude_min"] == 0.001488
@@ -133,7 +133,7 @@ number_of_retries_object_creation: 100
             "height_min": 5.0, "height_max": 200.0,
             "angle_min_deg": 45, "angle_max_deg": 360,
             "min_radius_sum": 10.0}}})
-        cone = cfg.shapes["cone"]
+        cone = cfg.data["shapes"]["cone"]
         assert cone["radius_1"] == [5.0, 200.0]
         assert cone["radius_2"] == [5.0, 200.0]
         assert cone["angle"] == [45, 360]
@@ -144,7 +144,7 @@ number_of_retries_object_creation: 100
             "number_of_objects=2",
             "simulation_parameters.re_band=[500,5000]",
             "use_sobol=true"])
-        assert cfg.number_of_objects == 2
+        assert cfg.data["number_of_objects"] == 2
         assert cfg.sim_param_policy["re_band"] == [500, 5000]
         assert cfg.sampling_mode == "sobol"
 

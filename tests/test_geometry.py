@@ -254,8 +254,8 @@ class TestValidateCandidate:
     def test_small_sphere_rejected_on_volume(self, cfg):
         placed = place_sphere(5.0, (148.0, 256.0, 256.0), cfg)
         ok, reason = validate_candidate(placed, [], cfg.bounding_box,
-                                        cfg.roi_x, cfg.clearance,
-                                        cfg.min_volume)
+                                        cfg.roi_x, cfg.data["clearance"],
+                                        cfg.data["min_volume"])
         assert not ok and reason == "min_volume"
         assert placed.volume == pytest.approx(523.5987755982989)
 
@@ -264,7 +264,8 @@ class TestValidateCandidate:
         b = place_sphere(50.0, (700.0, 256.0, 256.0), cfg)  # gap 100 >= 32
         ok, reason = validate_candidate(b, [_context_entry(a)],
                                         cfg.bounding_box, cfg.roi_x,
-                                        cfg.clearance, cfg.min_volume)
+                                        cfg.data["clearance"],
+                                        cfg.data["min_volume"])
         assert ok, reason
 
     def test_spheres_close_rejected_on_clearance(self, cfg):
@@ -273,7 +274,8 @@ class TestValidateCandidate:
         b = place_sphere(50.0, (604.0, 256.0, 256.0), cfg)
         ok, reason = validate_candidate(b, [_context_entry(a)],
                                         cfg.bounding_box, cfg.roi_x,
-                                        cfg.clearance, cfg.min_volume)
+                                        cfg.data["clearance"],
+                                        cfg.data["min_volume"])
         assert not ok and reason == "clearance"
 
     def test_overlapping_spheres_rejected(self, cfg):
@@ -281,14 +283,15 @@ class TestValidateCandidate:
         b = place_sphere(50.0, (540.0, 256.0, 256.0), cfg)
         ok, reason = validate_candidate(b, [_context_entry(a)],
                                         cfg.bounding_box, cfg.roi_x,
-                                        cfg.clearance, cfg.min_volume)
+                                        cfg.data["clearance"],
+                                        cfg.data["min_volume"])
         assert not ok and reason in ("non_intersection", "clearance")
 
     def test_out_of_domain_rejected(self, cfg):
         placed = place_sphere(60.0, (150.0, 30.0, 490.0), cfg)
         ok, reason = validate_candidate(placed, [], cfg.bounding_box,
-                                        cfg.roi_x, cfg.clearance,
-                                        cfg.min_volume)
+                                        cfg.roi_x, cfg.data["clearance"],
+                                        cfg.data["min_volume"])
         assert not ok and reason == "in_bounds"
 
 
@@ -322,7 +325,7 @@ class TestBuildScene:
             for placed in scene.objects:
                 ok, reason = validate_candidate(
                     placed, rebuilt, cfg.bounding_box, cfg.roi_x,
-                    cfg.clearance, cfg.min_volume)
+                    cfg.data["clearance"], cfg.data["min_volume"])
                 assert ok, reason
                 rebuilt.append(_context_entry(placed))
 

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import flowforge.orchestrate as orchestrate
+import flowforge.yamlio as yamlio
 from flowforge.cli import main
 from flowforge.config import config_hash, resolve_config
 from flowforge.errors import OrchestrationError
@@ -271,6 +272,31 @@ class TestSubmit:
         assert statuses[records[0].stem] == "completed"
         assert statuses[records[1].stem] == "completed"
 
+    def test_local_failure_recorded_until_completed(self, scene_tree,
+                                                     tmp_path):
+        out = tmp_path / "cases"
+        records = materialize_all(scene_tree, out)
+        plan = plan_lanes(0, 4, 2)
+        fail_dir = records[2].case_dir
+
+        def runner(case_dir):
+            if Path(case_dir) == fail_dir:
+                raise RuntimeError("synthetic failure")
+            return synthetic_solver(case_dir)
+
+        submit(records, plan, "local", out, runner=runner)
+        manifest = read_manifest(fail_dir)
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "RuntimeError: synthetic failure"
+        assert all("error" not in read_manifest(r.case_dir)
+                   for r in records if r.case_dir != fail_dir)
+
+        result = submit(records, plan, "local", out)
+        assert result.submitted == 2 and not result.failed
+        manifest = read_manifest(fail_dir)
+        assert manifest["status"] == "completed"
+        assert "error" not in manifest
+
     def test_lane_order_deterministic(self, scene_tree, tmp_path):
         out = tmp_path / "cases"
         records = materialize_all(scene_tree, out)
@@ -351,14 +377,14 @@ class TestIndex:
         records = materialize_all(scene_tree, out)
         fake_sbatch(monkeypatch)
         index_writes = []
-        real_write = orchestrate.atomic_write
+        real_write = yamlio.atomic_write
 
         def counting(path, data):
             if Path(path) == out / "index.yaml":
                 index_writes.append(data)
             return real_write(path, data)
 
-        monkeypatch.setattr(orchestrate, "atomic_write", counting)
+        monkeypatch.setattr(yamlio, "atomic_write", counting)
         submit(records, plan_lanes(0, 4, 2), backend, out)
         assert len(index_writes) == writes
         assert (out / "index.yaml").exists() == bool(writes)
