@@ -186,6 +186,18 @@ def _normalize_family_ranges(family: str, block: dict) -> dict:
     return out
 
 
+def _read_config_yaml(path: Path):
+    """A config file's YAML document; a parse failure is a ConfigError at
+    ``file:line``."""
+    try:
+        return read_yaml(path)
+    except ArtifactIOError as exc:
+        mark = getattr(exc.__cause__, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
+        raise ConfigError(
+            f"{where}: config parse failure: {exc.__cause__}") from exc
+
+
 def _normalize_legacy(user: dict) -> dict:
     """Translate the classic config layout into the canonical schema."""
     user = copy.deepcopy(user)
@@ -218,7 +230,7 @@ def _normalize_legacy(user: dict) -> dict:
             if not path.exists():
                 raise ConfigError(
                     f"simulation_parameters: file not found: {path}")
-            sim = read_yaml(path) or {}
+            sim = _read_config_yaml(path) or {}
         if not isinstance(sim, dict):
             raise ConfigError("simulation_parameters: expected a mapping or path")
         policy = dict(user.get("sim_param_policy", {}))
@@ -565,12 +577,7 @@ def resolve_config(base_file=None, override_list: list[str] | None = None,
         path = Path(base_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = read_yaml(path)
-        except YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
-            raise ConfigError(f"{where}: config parse failure: {exc}") from exc
+        loaded = _read_config_yaml(path)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import ArtifactIOError, GeometryError
-from ..yamlio import YAMLError, read_yaml, write_yaml
+from ..yamlio import read_yaml, write_yaml
 from .mesh import concatenate
 from .scene import Scene
 from .stl import write_stl
@@ -142,10 +142,7 @@ def read_scene_yaml(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ArtifactIOError(f"scene sidecar not found: {path}")
-    try:
-        raw = read_yaml(path)
-    except YAMLError as exc:
-        raise ArtifactIOError(f"unparseable scene sidecar {path}: {exc}") from exc
+    raw = read_yaml(path)
     if not isinstance(raw, dict):
         raise ArtifactIOError(f"scene sidecar {path} is not a mapping")
     return _coerce(raw)

@@ -202,7 +202,6 @@ class _ContextEntry:
     tri_base: np.ndarray
     tri_e0: np.ndarray
     tri_e1: np.ndarray
-    max_edge: float
 
 
 def _context_entry(placed: PlacedShape) -> _ContextEntry:
@@ -213,20 +212,14 @@ def _context_entry(placed: PlacedShape) -> _ContextEntry:
         tri_base=np.ascontiguousarray(corners[:, 0]),
         tri_e0=np.ascontiguousarray(corners[:, 1] - corners[:, 0]),
         tri_e1=np.ascontiguousarray(corners[:, 2] - corners[:, 0]),
-        max_edge=placed.mesh.max_edge_length(),
     )
 
 
-def _exact_point_mesh(points: np.ndarray, entry: _ContextEntry,
-                      chunk: int = 512) -> np.ndarray:
-    from ..sdf import _point_triangle
-    out = np.empty(len(points))
-    for start in range(0, len(points), chunk):
-        sl = slice(start, min(start + chunk, len(points)))
-        d2, _, _ = _point_triangle(points[sl], entry.tri_base,
-                                   entry.tri_e0, entry.tri_e1)
-        out[sl] = np.sqrt(d2.min(axis=1))
-    return out
+def _exact_point_mesh(points: np.ndarray, entry: _ContextEntry) -> np.ndarray:
+    from ..sdf import nearest_triangles     # sdf imports geometry
+    dist2, _, _, _ = nearest_triangles(points, entry.tri_base, entry.tri_e0,
+                                       entry.tri_e1)
+    return np.sqrt(dist2)
 
 
 @dataclass
@@ -260,9 +253,9 @@ def validate_candidate(candidate: PlacedShape, context: list[_ContextEntry],
         vert_dist, _ = entry.vertex_tree.query(cand_verts, k=1)
         # surface lies within max_edge of a context vertex, so this lower
         # bound is exact enough to clear most pairs without triangle tests
-        if vert_dist.min() - entry.max_edge >= threshold:
+        if vert_dist.min() - entry.placed.max_edge >= threshold:
             continue
-        suspicious = np.flatnonzero(vert_dist - entry.max_edge < threshold)
+        suspicious = np.flatnonzero(vert_dist - entry.placed.max_edge < threshold)
         exact = _exact_point_mesh(cand_verts[suspicious], entry)
         if exact.min() < threshold:
             return False, "clearance"

@@ -1,26 +1,24 @@
 """Signed distance fields from watertight triangle meshes.
 
-Distances are exact point-triangle minima; the sign comes from the dot
-product of the offset vector with the angle-weighted pseudonormal of the
-closest feature (vertex, edge, or face), which is sign-correct on
-watertight, consistently wound meshes.
+Every distance query is one exhaustive nearest-triangle scan
+(``nearest_triangles``) over exact point-triangle distances, in kernel calls
+of bounded size; the sign comes from the dot product of the offset vector
+with the angle-weighted pseudonormal of the closest feature (vertex, edge,
+or face), which is sign-correct on watertight, consistently wound meshes.
 
 Voxelization evaluates exactly only inside the narrow band, and only in
 the block of voxels within the band of the mesh's bounding box; the rest of
 the grid is outside the solid and is written as the band edge directly.
-Triangles are grouped by BVH leaves.  A cheap first pass gives every block
-voxel an upper bound on its distance (to one on-surface point per nearby
-leaf); the band pass then scatters each leaf's exact distances only into
-the voxels of its dilated box whose leaf-box lower bound is within the
-band, below the current distance and not above that upper bound, in
-kernel calls of bounded size.  Far voxels get their sign from one exact
-query per connected far-field component of the block and are clamped to
-the band edge.
+Triangles are grouped by the leaves of a median-split partition.  A cheap
+first pass gives every block voxel an upper bound on its distance (to one
+on-surface point per nearby leaf); the band pass then scans each leaf's
+triangles only for the voxels of its dilated box whose leaf-box lower bound
+is within the band, below the current distance and not above that upper
+bound.  Far voxels get their sign from one exact query per connected
+far-field component of the block and are clamped to the band edge.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -30,6 +28,10 @@ from .fields import DenseField, GridSpec
 from .geometry.mesh import TriMesh
 
 _LEAF_SIZE = 16
+
+# point-triangle pairs per kernel call; bounds its (K, T, 3) temporaries to
+# a few MB whatever the number of points
+_PAIR_BUDGET = 1 << 18
 
 # feature codes from point-triangle classification
 _F_V0, _F_V1, _F_V2, _F_E01, _F_E12, _F_E20, _F_FACE = range(7)
@@ -117,27 +119,43 @@ def _feature_codes(s: np.ndarray, t: np.ndarray, tol: float = 1e-12) -> np.ndarr
     return codes
 
 
-# ---------------------------------------------------------------------------
-# Mesh acceleration structure
-# ---------------------------------------------------------------------------
-@dataclass
-class _Node:
-    lo: np.ndarray
-    hi: np.ndarray
-    left: int
-    right: int
-    start: int
-    count: int
+def nearest_triangles(points: np.ndarray, base: np.ndarray, e0: np.ndarray,
+                      e1: np.ndarray):
+    """Each point's nearest triangle, by an exhaustive scan.
+
+    Returns (dist2, tri, s, t) with shape (K,): the squared distance, the
+    first triangle that attains it, and that triangle's closest-point
+    parameters.  Kernel calls hold at most ``_PAIR_BUDGET`` pairs, or one
+    point when the triangles alone exceed it.
+    """
+    n = len(points)
+    dist2, s, t = np.empty(n), np.empty(n), np.empty(n)
+    tri = np.empty(n, dtype=np.intp)
+    step = max(1, _PAIR_BUDGET // len(base))
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        d2, sc, tc = _point_triangle(points[chunk], base, e0, e1)
+        k = np.argmin(d2, axis=1)
+        rows = np.arange(len(k))
+        dist2[chunk], tri[chunk] = d2[rows, k], k
+        s[chunk], t[chunk] = sc[rows, k], tc[rows, k]
+    return dist2, tri, s, t
 
 
+# ---------------------------------------------------------------------------
+# Mesh accelerator: leaf partition plus pseudonormals
+# ---------------------------------------------------------------------------
 class MeshAccel:
-    """BVH over triangles plus angle-weighted pseudonormals.
+    """Median-split leaf partition of the triangles plus angle-weighted
+    pseudonormals.
 
-    Immutable after construction; the input mesh must be watertight and
-    outward-oriented (checked up front, before any query).
+    The leaves, in pre-order, are the voxelizer's units of work; their order
+    fixes its first-minimum tie order.  Immutable after construction; the
+    input mesh must be watertight and outward-oriented (checked up front,
+    before any query).
     """
 
-    def __init__(self, mesh: TriMesh, check: bool = True, leaf_size: int = _LEAF_SIZE):
+    def __init__(self, mesh: TriMesh, check: bool = True):
         if check:
             mesh.check_watertight(context="MeshAccel input")
         self.mesh = mesh
@@ -149,7 +167,12 @@ class MeshAccel:
         self._tri_hi = corners.max(axis=1)
         self._face_normals = mesh.face_normals()
         self._vertex_pn, self._edge_pn = self._pseudonormals(mesh)
-        self._build_bvh(leaf_size)
+        # pseudonormal of every triangle feature, indexed [triangle, feature
+        # code]: codes 0-2 are the vertices, 3-5 the edges and 6 the face
+        self._normals = np.concatenate(
+            [self._vertex_pn[mesh.triangles], self._edge_pn,
+             self._face_normals[:, None]], axis=1)
+        self._build_leaves()
 
     # -- pseudonormals -------------------------------------------------------
     @staticmethod
@@ -182,102 +205,53 @@ class MeshAccel:
         edge_pn = edge_sum[inverse].reshape(len(tris), 3, 3)
         return vertex_pn, edge_pn
 
-    # -- BVH -----------------------------------------------------------------
-    def _build_bvh(self, leaf_size: int):
-        n = len(self._base)
+    # -- leaf partition --------------------------------------------------------
+    def _build_leaves(self):
         centroids = (self._tri_lo + self._tri_hi) / 2.0
-        order = np.arange(n)
-        nodes: list[_Node] = []
+        order = np.arange(len(self._base))
+        leaves = []
 
-        # (start, count, parent, is_right); the right child is pushed before
-        # the left, so nodes are numbered in pre-order (left subtree first)
-        stack = [(0, n, -1, False)]
+        # (start, count) ranges of ``order``; the right half is pushed before
+        # the left, so leaves come out in pre-order (left subtree first)
+        stack = [(0, len(order))]
         while stack:
-            start, count, parent, is_right = stack.pop()
+            start, count = stack.pop()
             idx = order[start:start + count]
             lo = self._tri_lo[idx].min(axis=0)
             hi = self._tri_hi[idx].max(axis=0)
-            node_id = len(nodes)
-            if parent >= 0:
-                if is_right:
-                    nodes[parent].right = node_id
-                else:
-                    nodes[parent].left = node_id
-            if count <= leaf_size:
-                nodes.append(_Node(lo, hi, -1, -1, start, count))
+            if count <= _LEAF_SIZE:
+                leaves.append((idx, lo, hi))
                 continue
-            nodes.append(_Node(lo, hi, -1, -1, -1, 0))
             axis = int(np.argmax(hi - lo))
-            local = np.argsort(centroids[idx, axis], kind="stable")
-            order[start:start + count] = idx[local]
+            order[start:start + count] = idx[np.argsort(centroids[idx, axis],
+                                                        kind="stable")]
             half = count // 2
-            stack.append((start + half, count - half, node_id, True))
-            stack.append((start, half, node_id, False))
+            stack.append((start + half, count - half))
+            stack.append((start, half))
 
         self._order = order
-        self._nodes = nodes
-        self._leaves = [i for i, nd in enumerate(nodes) if nd.left < 0]
+        self._leaves = leaves
 
     def leaf_groups(self):
         """Triangle-index groups with their bounding boxes (voxelizer hook)."""
-        for i in self._leaves:
-            node = self._nodes[i]
-            tri_ids = self._order[node.start:node.start + node.count]
-            yield tri_ids, node.lo, node.hi
-
-    @staticmethod
-    def _box_dist2(lo, hi, p) -> float:
-        d = np.maximum(np.maximum(lo - p, 0.0), p - hi)
-        return float(d @ d)
+        return iter(self._leaves)
 
     # -- queries ---------------------------------------------------------------
-    def closest(self, point) -> tuple[float, np.ndarray, int, int]:
-        """Exact closest point on the mesh: (distance, point, triangle, feature)."""
-        p = np.asarray(point, dtype=np.float64).reshape(3)
-        best_d2 = np.inf
-        best = (None, -1, -1)
-        stack = [0]
-        while stack:
-            node = self._nodes[stack.pop()]
-            if self._box_dist2(node.lo, node.hi, p) >= best_d2:
-                continue
-            if node.left >= 0:
-                left, right = self._nodes[node.left], self._nodes[node.right]
-                dl = self._box_dist2(left.lo, left.hi, p)
-                dr = self._box_dist2(right.lo, right.hi, p)
-                if dl < dr:
-                    stack.extend((node.right, node.left))
-                else:
-                    stack.extend((node.left, node.right))
-                continue
-            tri_ids = self._order[node.start:node.start + node.count]
-            d2, s, t = _point_triangle(p[None, :], self._base[tri_ids],
-                                       self._e0[tri_ids], self._e1[tri_ids])
-            k = int(np.argmin(d2[0]))
-            if d2[0, k] < best_d2:
-                best_d2 = float(d2[0, k])
-                code = int(_feature_codes(s[0, k], t[0, k])[0])
-                closest = (self._base[tri_ids[k]] + s[0, k] * self._e0[tri_ids[k]]
-                           + t[0, k] * self._e1[tri_ids[k]])
-                best = (closest, int(tri_ids[k]), code)
-        return float(np.sqrt(best_d2)), best[0], best[1], best[2]
-
-    def _pseudonormal(self, tri: int, feature: int) -> np.ndarray:
-        if feature == _F_FACE:
-            return self._face_normals[tri]
-        if feature in (_F_V0, _F_V1, _F_V2):
-            return self._vertex_pn[self.mesh.triangles[tri, feature]]
-        return self._edge_pn[tri, feature - _F_E01]
+    def _side(self, points, tri, s, t) -> np.ndarray:
+        """+1 where each point lies outside its closest point ``(s, t)`` on
+        triangle ``tri`` by the feature's pseudonormal, -1 where inside."""
+        closest = (self._base[tri] + s[:, None] * self._e0[tri]
+                   + t[:, None] * self._e1[tri])
+        outward = np.einsum("kj,kj->k", points - closest,
+                            self._normals[tri, _feature_codes(s, t)])
+        return np.where(outward >= 0, 1, -1)
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distances for (K, 3) query points, negative inside."""
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        out = np.empty(len(points))
-        for i, p in enumerate(points):
-            dist, closest, tri, feature = self.closest(p)
-            pn = self._pseudonormal(tri, feature)
-            out[i] = dist if (p - closest) @ pn >= 0 else -dist
-        return out
+        dist2, tri, s, t = nearest_triangles(points, self._base, self._e0,
+                                             self._e1)
+        return self._side(points, tri, s, t) * np.sqrt(dist2)
 
 
 def signed_distance_at(accel: MeshAccel, point) -> float:
@@ -288,13 +262,8 @@ def signed_distance_at(accel: MeshAccel, point) -> float:
 # ---------------------------------------------------------------------------
 # Narrow-band voxelization
 # ---------------------------------------------------------------------------
-# point-triangle pairs per band-pass kernel call; bounds its (K, T, 3)
-# temporaries to a few MB whatever the leaf block size
-_PAIR_BUDGET = 1 << 18
-
-
 def _leaf_blocks(accel: MeshAccel, band_lu: float, grid: GridSpec):
-    """The BVH leaves, in leaf order, with the voxels of their dilated boxes.
+    """The leaves, in leaf order, with the voxels of their dilated boxes.
 
     Returns (block, leaves).  ``block`` holds the grid slices of the
     smallest box of voxels that contains every leaf's box dilated by
@@ -345,7 +314,7 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     All work happens in the block of voxels within band_lu of the mesh's
     bounding box; every voxel outside it is outside the solid and farther
     than the band, so it is written as +band_lu directly.  A first pass over
-    the BVH leaves gives each block voxel an upper bound ``ub`` on its
+    the partition's leaves gives each block voxel an upper bound ``ub`` on its
     distance: the distance to one on-surface point (a triangle centroid) of
     every leaf whose dilated box holds it.  The band pass then evaluates a
     voxel against a leaf only when the leaf-box lower bound is within the
@@ -390,11 +359,6 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     ub *= 1.0 + 1e-12
     ub += 1e-9 * band_lu
 
-    # pseudonormal of every triangle feature, indexed [triangle, feature
-    # code]: codes 0-2 are the vertices, 3-5 the edges and 6 the face
-    normals = np.concatenate([accel._vertex_pn[accel.mesh.triangles],
-                              accel._edge_pn, accel._face_normals[:, None]],
-                             axis=1)
     dist = np.full(shape, np.inf, dtype=np.float64)
     sign = np.ones(shape, dtype=np.int8)
     for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
@@ -407,27 +371,13 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
             continue
         ijk = np.unravel_index(act, lower.shape)
         pts = np.column_stack([coords[a][ijk[a]] for a in range(3)])
-        before = current[ijk]
-        base, e0, e1 = (accel._base[tri_ids], accel._e0[tri_ids],
-                        accel._e1[tri_ids])
-        step = max(1, _PAIR_BUDGET // len(tri_ids))
-        for start in range(0, len(act), step):
-            chunk = slice(start, start + step)
-            d2, s, t = _point_triangle(pts[chunk], base, e0, e1)
-            kmin = np.argmin(d2, axis=1)
-            dmin = np.sqrt(d2[np.arange(len(kmin)), kmin])
-            rows = np.flatnonzero(dmin < before[chunk])
-            if not len(rows):
-                continue
-            kwin = kmin[rows]
-            win, s_win, t_win = tri_ids[kwin], s[rows, kwin], t[rows, kwin]
-            closest = (accel._base[win] + s_win[:, None] * accel._e0[win]
-                       + t_win[:, None] * accel._e1[win])
-            outward = np.einsum("kj,kj->k", pts[chunk][rows] - closest,
-                                normals[win, _feature_codes(s_win, t_win)])
-            target = tuple(ijk[a][chunk][rows] for a in range(3))
-            current[target] = dmin[rows]
-            sign[sl][target] = np.where(outward >= 0, 1, -1)
+        d2, k, s, t = nearest_triangles(pts, accel._base[tri_ids],
+                                        accel._e0[tri_ids], accel._e1[tri_ids])
+        dmin = np.sqrt(d2)
+        rows = np.flatnonzero(dmin < current[ijk])
+        target = tuple(ijk[a][rows] for a in range(3))
+        current[target] = dmin[rows]
+        sign[sl][target] = accel._side(pts[rows], tri_ids[k[rows]], s[rows], t[rows])
 
     # far-field: clamp, one exact sign query per connected component
     far = dist > band_lu

@@ -12,6 +12,7 @@ from pathlib import Path
 import yaml
 
 from .atomic import atomic_write
+from .errors import ArtifactIOError
 
 YAMLError = yaml.YAMLError
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -28,7 +29,17 @@ def dumps(obj, sort_keys: bool = True) -> str:
 
 
 def read_yaml(path):
-    return loads(Path(path).read_text(encoding="utf-8"))
+    """The value of the YAML document in ``path``; None when it is empty.
+
+    A parse failure, invalid UTF-8 included, raises ArtifactIOError from the
+    YAMLError, whose mark names the file and line.  The loader decodes the
+    bytes itself, so that its mark also covers decoding errors.
+    """
+    with Path(path).open("rb") as stream:
+        try:
+            return yaml.load(stream, Loader=_LOADER)
+        except YAMLError as exc:
+            raise ArtifactIOError(f"unparseable YAML: {exc}") from exc
 
 
 def write_yaml(path, obj, sort_keys: bool = True) -> Path:

@@ -6,7 +6,7 @@ an all-pairs loop, mesh volumes come from closed forms, and the clearance
 oracle scans every triangle by plane projection, barycentric sign tests
 and clamped edge distances, where the production kernel
 (``sdf._point_triangle``) splits the triangle's plane into closest-point
-regions and the production guards walk a BVH.
+regions.
 """
 
 import numpy as np

@@ -9,6 +9,7 @@ import yaml
 import flowforge.cli
 from flowforge.cli import main
 from flowforge.fields import export_npy, load_npy
+from flowforge.orchestrate import read_index
 
 SMALL_OVERRIDES = [
     "repeat=2", "seed=77", "sampling_mode=sobol",
@@ -281,6 +282,32 @@ class TestReportAndGate:
         from flowforge.fields import export_npy
         export_npy(u, case_dir / "velocity_avg.npy")
         assert run(["gate", "--case", case_dir]) == 1
+
+
+class TestUnparseableArtifacts:
+    """A corrupt artifact YAML exits 2 with a message naming the file."""
+
+    @staticmethod
+    def corrupt(path, tail=b"status: [\n"):
+        with path.open("ab") as fh:
+            fh.write(tail)
+
+    @pytest.mark.parametrize("tail", [b"status: [\n", b"error: \xff\n"])
+    def test_manifest_under_gate(self, pipeline, tmp_path, capsys, tail):
+        case_id = sorted(read_index(pipeline["cases"]))[0]
+        case_dir = tmp_path / case_id
+        shutil.copytree(pipeline["cases"] / case_id, case_dir)
+        self.corrupt(case_dir / "manifest.yaml", tail)
+        assert run(["gate", "--case", case_dir]) == 2
+        assert "manifest.yaml" in capsys.readouterr().err
+
+    def test_index_under_resample(self, pipeline, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline["cases"], cases)
+        self.corrupt(cases / "index.yaml")
+        assert run(["resample", *SMALL_OVERRIDES, "--cases", cases,
+                    "--out", tmp_path / "tensors"]) == 2
+        assert "index.yaml" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -55,6 +55,14 @@ class TestResolve:
         with pytest.raises(ConfigError, match=r"broken\.yaml:\d+"):
             resolve_config(path)
 
+    def test_simulation_parameters_parse_failure_reports_line(self, tmp_path):
+        sim = tmp_path / "sim.yaml"
+        sim.write_text("nu: [\n")
+        path = tmp_path / "config.yaml"
+        path.write_text(f"simulation_parameters: {sim}\n")
+        with pytest.raises(ConfigError, match=r"sim\.yaml:\d+"):
+            resolve_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             resolve_config(tmp_path / "nope.yaml")

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from _oracles import point_triangle_distances
+from _oracles import point_mesh_distance, point_triangle_distances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -14,7 +14,8 @@ from flowforge.errors import FieldError, GeometryError
 from flowforge.fields import (DenseField, GridSpec, export_npy, extract_slice,
                               load_npy, tensor_bytes)
 from flowforge.geometry import (TriMesh, build_scene, concatenate,
-                                draw_dimension, tessellate)
+                                draw_dimension, tessellate, validate_candidate)
+from flowforge.geometry.scene import PlacedShape, Pose, _context_entry
 from flowforge.sampling import GeneratorState, freeze_dimension
 from flowforge.sdf import (MeshAccel, _point_triangle, signed_distance_at,
                            voxelize)
@@ -63,24 +64,49 @@ class TestSignedDistance:
         got = signed_distance_at(accel, (0.0, 0.0, 0.0))
         assert got == pytest.approx(-5.0, abs=chord_error(5, 64))
 
-    def test_bvh_equals_brute_force_scan(self, rng):
+    def test_scan_equals_brute_force_oracle(self, rng):
         mesh = sphere_mesh(r=7.0, segments=48)
         accel = MeshAccel(mesh)
         points = rng.normal(scale=9.0, size=(1000, 3))
-        bvh = np.array([accel.closest(p)[0] for p in points])
-        d2, _, _ = _point_triangle(points, accel._base, accel._e0, accel._e1)
-        brute = np.sqrt(d2.min(axis=1))
-        np.testing.assert_allclose(bvh, brute, atol=1e-12)
+        got = np.abs(accel.signed_distance(points))
+        # TestPointTriangleKernel's bound, at the worst-conditioned triangle
+        e0, e1 = accel._e0, accel._e1
+        n = np.cross(e0, e1)
+        kappa = ((e0 * e0).sum(1) * (e1 * e1).sum(1)) / (n * n).sum(1)
+        scale = np.abs(mesh.corners).max() + np.abs(points).max()
+        bound = 16 * np.finfo(np.float64).eps * kappa.max() * scale
+        np.testing.assert_allclose(got, point_mesh_distance(points, mesh),
+                                   rtol=0, atol=bound)
 
-    def test_signs_match_implicit(self, rng):
-        solid = tessellate("torus", {"radius_major": 12.0, "radius_minor": 4.0},
-                           64)
+    # family, parameters, segments, radius setting the chordal error
+    SOLIDS = {
+        "cuboid": ("cuboid", {"height": 30.0, "width": 50.0,
+                              "thickness": 40.0}, 16, 0.0),
+        "wedge": ("wedge", {"length": 60.0, "width": 40.0, "height": 30.0,
+                            "opening_angle": 40.0}, 16, 0.0),
+        "cylinder_200deg": ("cylinder", {"radius": 15.0, "height": 30.0,
+                                         "angle": 200.0}, 64, 15.0),
+        "cone_250deg_apex": ("cone", {"radius_1": 15.0, "radius_2": 0.0,
+                                      "height": 30.0, "angle": 250.0}, 64, 15.0),
+        "sphere_sector": ("sphere", {"radius": 15.0, "alpha": -30.0,
+                                     "beta": 60.0, "gamma": 270.0}, 64, 15.0),
+        "torus": ("torus", {"radius_major": 12.0, "radius_minor": 4.0}, 64,
+                  16.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SOLIDS))
+    def test_signs_match_implicit(self, rng, name):
+        family, params, segments, radius = self.SOLIDS[name]
+        solid = tessellate(family, params, segments)
         accel = MeshAccel(solid.mesh)
-        points = rng.uniform(-18, 18, size=(500, 3))
+        lo, hi = solid.mesh.aabb()
+        pad = 0.3 * (hi - lo)
+        points = rng.uniform(lo - pad, hi + pad, size=(500, 3))
         sd = accel.signed_distance(points)
         inside = solid.inside(points)
         # agree away from the chordal shell around the surface
-        clear = np.abs(sd) > chord_error(16.0, 64)
+        clear = np.abs(sd) > chord_error(radius, segments)
+        assert clear.sum() > 400 and inside[clear].any()
         assert (np.sign(sd[clear]) == np.where(inside[clear], -1, 1)).all()
 
     def test_non_watertight_rejected_preflight(self):
@@ -242,8 +268,8 @@ class TestVoxelize:
 
 
 def _recursive_bvh(tri_lo, tri_hi, leaf_size):
-    """Pre-order recursive median-split build: the reference the iterative
-    MeshAccel build must reproduce node for node."""
+    """Pre-order recursive median-split build: the reference whose order and
+    leaves the iterative MeshAccel partition must reproduce."""
     centroids = (tri_lo + tri_hi) / 2.0
     order = np.arange(len(tri_lo))
     nodes = []
@@ -283,11 +309,6 @@ class TestBvhBuild:
         order, nodes = _recursive_bvh(accel._tri_lo, accel._tri_hi,
                                       sdf._LEAF_SIZE)
         assert np.array_equal(accel._order, order)
-        assert len(accel._nodes) == len(nodes)
-        for got, (lo, hi, left, right, start, count) in zip(accel._nodes, nodes):
-            assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
-            assert (got.left, got.right, got.start, got.count) == (
-                left, right, start, count)
         ref_leaves = [(order[n[4]:n[4] + n[5]], n[0], n[1])
                       for n in nodes if n[2] < 0]
         got_leaves = list(accel.leaf_groups())
@@ -405,6 +426,17 @@ def _generated_scene(number_of_objects, seed):
     return concatenate([placed.mesh for placed in scene.objects])
 
 
+def _placed_sphere(radius, segments, center):
+    params = {"radius": radius, "alpha": None, "beta": None, "gamma": None}
+    solid = tessellate("sphere", params, segments)
+    mesh = solid.mesh.translated(np.asarray(center) - solid.centroid)
+    pose = Pose(position=tuple(center), quaternion=(1.0, 0.0, 0.0, 0.0),
+                dir_vector=(1.0, 0.0, 0.0))
+    return PlacedShape(family="sphere", params=params, pose=pose, solid=solid,
+                       mesh=mesh, volume=mesh.signed_volume(),
+                       max_edge=mesh.max_edge_length())
+
+
 _CUBOID = {"height": 96.0, "width": 160.0, "thickness": 96.0}
 _WEDGE = {"length": 192.0, "width": 128.0, "height": 96.0, "opening_angle": 40.0}
 _SPHERE = {"radius": 64.0, "alpha": None, "beta": None, "gamma": None}
@@ -473,6 +505,43 @@ class TestVoxelizeEquivalence:
         voxelize(mesh, GridSpec.preset(8), band_w=8)
         assert sum(pairs) > 5_000_000
         assert max(pairs) <= sdf._PAIR_BUDGET
+
+    @pytest.mark.parametrize("query", ["signed_distance", "clearance_guard",
+                                       "one_point_per_call"])
+    def test_distance_queries_stay_within_pair_budget(self, monkeypatch,
+                                                      query):
+        # the 16,128-triangle sphere: 512 points against it are 8.3 M pairs.
+        # The stand-in kernel returns zeros of the right shape, so only the
+        # call sizes are measured.
+        pairs = []
+
+        def sized(points, base, e0, e1):
+            pairs.append(len(points) * len(base))
+            zeros = np.zeros((len(points), len(base)))
+            return zeros, zeros, zeros
+
+        monkeypatch.setattr(sdf, "_point_triangle", sized)
+        sphere = _placed_sphere(64.0, 128, (500.0, 256.0, 256.0))
+        n_tri = len(sphere.mesh.triangles)
+        if query == "signed_distance":
+            rng = np.random.default_rng(7)
+            points = rng.normal(scale=80.0, size=(10_000, 3)) + (500, 256, 256)
+            MeshAccel(sphere.mesh).signed_distance(points)
+            assert sum(pairs) == 10_000 * n_tri
+        elif query == "clearance_guard":
+            # 10 lu from the sphere, inside the default 32 lu clearance
+            near = _placed_sphere(20.0, 64, (594.0, 256.0, 256.0))
+            cfg = resolve_config()
+            assert validate_candidate(
+                near, [_context_entry(sphere)], cfg.bounding_box, cfg.roi_x,
+                cfg.data["clearance"], 0.0) == (False, "clearance")
+            assert sum(pairs) > sdf._PAIR_BUDGET
+        else:
+            # a budget below the triangle count: one point per call
+            monkeypatch.setattr(sdf, "_PAIR_BUDGET", 1000)
+            MeshAccel(sphere.mesh).signed_distance(np.zeros((5, 3)))
+            assert pairs == [n_tri] * 5
+        assert max(pairs) <= max(sdf._PAIR_BUDGET, n_tri)
 
 
 class TestNpyFormat:
