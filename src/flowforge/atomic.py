@@ -4,6 +4,10 @@ A writer fills a temporary sibling of the target, and the sibling is
 renamed over the target only after the write has finished.  A reader, or a
 rerun after an interrupted stage, therefore sees the old file or the new
 one, never a torn one.
+
+Nothing is ``fsync``-ed, neither the file nor its directory, so a write
+is safe against a killed process but not against power loss or an OS
+crash.
 """
 
 from __future__ import annotations

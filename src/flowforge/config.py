@@ -36,9 +36,9 @@ _FAMILY_KEYS = {
     "cone": {"radius_1", "radius_2", "height", "angle", "min_radius_sum", "decimals"},
     "sphere": {"radius", "alpha", "beta", "gamma", "decimals"},
     "torus": {"radius_major", "radius_minor", "decimals"},
-    # x_min / x_max / depth are legacy aliases for offset / length / width
+    # x_max / depth are legacy aliases for length / width
     "wedge": {"length", "width", "height", "opening_angle",
-              "x_min", "x_max", "depth", "decimals"},
+              "x_max", "depth", "decimals"},
 }
 
 _DEFAULTS: dict = {

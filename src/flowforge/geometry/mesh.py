@@ -42,9 +42,7 @@ class TriMesh:
         return n
 
     def areas(self) -> np.ndarray:
-        c = self.corners
-        return 0.5 * np.linalg.norm(
-            np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]), axis=1)
+        return 0.5 * np.linalg.norm(self.face_normals(unit=False), axis=1)
 
     def signed_volume(self) -> float:
         """Divergence-theorem volume; positive for outward orientation."""
@@ -86,25 +84,34 @@ class TriMesh:
         if (self.areas() <= DEGENERATE_AREA_TOL).any():
             raise GeometryError(f"{context}: degenerate (zero-area) triangle")
 
-        directed = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        _, dir_counts = np.unique(directed, axis=0, return_counts=True)
+        _, dir_counts = np.unique(self._side_keys(directed=True),
+                                  return_counts=True)
         if (dir_counts != 1).any():
             raise GeometryError(
                 f"{context}: inconsistent winding (repeated directed edge)")
-        undirected = np.sort(directed, axis=1)
-        _, und_counts = np.unique(undirected, axis=0, return_counts=True)
+        _, und_counts = self.edges()
         if (und_counts != 2).any():
             raise GeometryError(
                 f"{context}: not watertight (edge not shared by exactly 2 triangles)")
         if self.signed_volume() <= 0:
             raise GeometryError(f"{context}: inward orientation (volume <= 0)")
 
-    # -- construction helpers ------------------------------------------------
-    def drop_unreferenced_vertices(self) -> "TriMesh":
-        used = np.unique(self.triangles)
-        remap = np.full(len(self.vertices), -1, dtype=np.int32)
-        remap[used] = np.arange(len(used), dtype=np.int32)
-        return TriMesh(self.vertices[used], remap[self.triangles])
+    def _side_keys(self, directed: bool) -> np.ndarray:
+        """Key ``a * n_vertices + b`` of each triangle side a -> b, three per
+        triangle in corner order (0-1, 1-2, 2-0); undirected keys take the
+        pair as (min, max)."""
+        sides = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        sides = sides.astype(np.int64)
+        if not directed:
+            sides.sort(axis=1)
+        return sides[:, 0] * len(self.vertices) + sides[:, 1]
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge id of each triangle side, with ids in (min, max) vertex
+        order, and the number of sides on each edge (2 once watertight)."""
+        _, inverse, counts = np.unique(self._side_keys(directed=False),
+                                       return_inverse=True, return_counts=True)
+        return inverse, counts
 
 
 def concatenate(meshes: list[TriMesh]) -> TriMesh:

@@ -3,14 +3,15 @@ obstacle families: cuboid, cylinder, cone (frustum), sphere (full or
 radial sector), torus, and wedge.
 
 All solids are built in a natural local frame (axis of revolution = z,
-prisms extruded along y) by two shared constructors:
+prisms extruded along y) by one array-built sweep, which fixes the
+topology and the triangle order (and so the STL bytes) of every family:
 
 * :func:`revolve_polygon` sweeps a closed profile polygon in the (rho, z)
   half-plane around the z axis, closing partial sweeps with planar caps.
   Profile edges lying on the axis generate no faces, which is how poles
   and disc centers collapse cleanly.
 * :func:`extrude_polygon` turns a convex cross-section in the (x, z)
-  plane into a right prism along y.
+  plane into a right prism along y: the same sweep through two rings.
 
 Each family also provides a sign-correct implicit function (exact for
 full solids, intersection-of-cuts for sectors) used by the feasibility
@@ -59,6 +60,53 @@ def _dedupe_ring(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
+def _sweep(rings: np.ndarray, on_axis: np.ndarray, wrap: bool) -> TriMesh:
+    """Closed mesh swept by a CCW profile through R rings of points.
+
+    ``rings[i, t]`` is profile vertex i at ring t.  A wrapping sweep joins
+    the last ring back to the first; an open sweep closes both ends with
+    planar caps fanned from profile vertex 0.  On-axis profile vertices at
+    one z share one point (``rings[i, 0]`` of the first).  Quads split as
+    (a, c, b), (a, d, c), which is outward for a CCW profile; triangles
+    with a repeated vertex (quads touching the axis) are dropped.
+    """
+    n_profile, n_rings = rings.shape[:2]
+    n_steps = n_rings if wrap else n_rings - 1
+
+    # vertex t of profile vertex i is ids[i, t]: base + t, or the axis point
+    base, blocks, axis_ids, n_vertices = [], [], {}, 0
+    for points, axis in zip(rings, on_axis):
+        if axis:
+            points = points[:1]
+            if points[0, 2] in axis_ids:
+                base.append(axis_ids[points[0, 2]])
+                continue
+            axis_ids[points[0, 2]] = n_vertices
+        base.append(n_vertices)
+        blocks.append(points)
+        n_vertices += len(points)
+    steps = np.arange(n_steps + 1) % n_rings
+    ids = np.array(base)[:, None] + np.where(on_axis[:, None], 0, steps)
+
+    # lateral quads, profile edge by profile edge, then ring step
+    i = np.flatnonzero(~(on_axis & np.roll(on_axis, -1)))
+    j = (i + 1) % n_profile
+    a, b, c, d = ids[i, :-1], ids[j, :-1], ids[j, 1:], ids[i, 1:]
+    tris = [np.stack([a, c, b, a, d, c], axis=-1).reshape(-1, 3)]
+    if not wrap:
+        # start and end caps interleaved, fanned from profile vertex 0
+        k = np.arange(1, n_profile - 1)
+        start, end = ids[:, 0], ids[:, -1]
+        tris.append(np.stack([np.full_like(k, start[0]), start[k], start[k + 1],
+                              np.full_like(k, end[0]), end[k + 1], end[k]],
+                             axis=-1).reshape(-1, 3))
+    tris = np.concatenate(tris)
+    tris = tris[(tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 0] != tris[:, 2])]
+    used, tris = np.unique(tris, return_inverse=True)
+    return TriMesh(np.concatenate(blocks)[used], tris.reshape(-1, 3))
+
+
 def revolve_polygon(profile: np.ndarray, sweep_deg: float, n_az: int) -> TriMesh:
     """Solid of revolution of a CCW profile polygon in the (rho, z) plane.
 
@@ -76,55 +124,14 @@ def revolve_polygon(profile: np.ndarray, sweep_deg: float, n_az: int) -> TriMesh
 
     n_rings = n_az if full else n_az + 1
     angles = np.radians(sweep_deg) * np.arange(n_rings) / n_az
+    # math, not np.cos/np.sin: the last ulp fixes the STL bytes
+    cos, sin = np.array([(math.cos(a), math.sin(a)) for a in angles]).T
 
     on_axis = profile[:, 0] <= _AXIS_TOL
-    vertices: list[np.ndarray] = []
-    axis_ids: dict[float, int] = {}
-    ring_base = np.full(len(profile), -1, dtype=np.int64)
-    axis_id = np.full(len(profile), -1, dtype=np.int64)
-
-    for i, (rho, z) in enumerate(profile):
-        if on_axis[i]:
-            if z not in axis_ids:
-                axis_ids[z] = len(vertices)
-                vertices.append(np.array([0.0, 0.0, z]))
-            axis_id[i] = axis_ids[z]
-        else:
-            ring_base[i] = len(vertices)
-            for a in angles:
-                vertices.append(np.array([rho * math.cos(a),
-                                          rho * math.sin(a), z]))
-
-    def vid(i: int, t: int) -> int:
-        if on_axis[i]:
-            return int(axis_id[i])
-        return int(ring_base[i] + (t % n_rings if full else t))
-
-    tris: list[tuple[int, int, int]] = []
-
-    def emit(a: int, b: int, c: int):
-        if a != b and b != c and a != c:
-            tris.append((a, b, c))
-
-    # lateral faces; CCW profile + this split yields outward orientation
-    for i in range(len(profile)):
-        j = (i + 1) % len(profile)
-        if on_axis[i] and on_axis[j]:
-            continue
-        for t in range(n_az):
-            a, b = vid(i, t), vid(j, t)
-            c, d = vid(j, t + 1), vid(i, t + 1)
-            emit(a, c, b)
-            emit(a, d, c)
-
-    # planar caps for partial sweeps (start cap outward is -y at azimuth 0)
-    if not full:
-        for k in range(1, len(profile) - 1):
-            emit(vid(0, 0), vid(k, 0), vid(k + 1, 0))
-            emit(vid(0, n_az), vid(k + 1, n_az), vid(k, n_az))
-
-    mesh = TriMesh(np.array(vertices), np.array(tris, dtype=np.int32))
-    return mesh.drop_unreferenced_vertices()
+    rho = np.where(on_axis, 0.0, profile[:, 0])[:, None]
+    z = np.broadcast_to(profile[:, 1:], (len(profile), n_rings))
+    rings = np.stack([rho * cos, rho * sin, z], axis=-1)
+    return _sweep(rings, on_axis, wrap=full)
 
 
 def extrude_polygon(poly_xz: np.ndarray, y_half: float) -> TriMesh:
@@ -135,21 +142,11 @@ def extrude_polygon(poly_xz: np.ndarray, y_half: float) -> TriMesh:
     if y_half <= 0:
         raise GeometryError("extrusion width must be positive")
 
-    n = len(poly)
-    vertices = np.empty((2 * n, 3))
-    vertices[:n] = np.column_stack([poly[:, 0], np.full(n, -y_half), poly[:, 1]])
-    vertices[n:] = np.column_stack([poly[:, 0], np.full(n, +y_half), poly[:, 1]])
-
-    tris: list[tuple[int, int, int]] = []
-    for i in range(n):
-        j = (i + 1) % n
-        a, b, c, d = i, j, n + j, n + i
-        tris.append((a, c, b))
-        tris.append((a, d, c))
-    for k in range(1, n - 1):
-        tris.append((0, k, k + 1))          # -y cap
-        tris.append((n, n + k + 1, n + k))  # +y cap
-    return TriMesh(vertices, np.array(tris, dtype=np.int32))
+    # two rings, at -y (the start cap) and +y
+    rings = np.empty((len(poly), 2, 3))
+    rings[:, :, 0], rings[:, :, 2] = poly[:, :1], poly[:, 1:]
+    rings[:, :, 1] = (-y_half, y_half)
+    return _sweep(rings, np.zeros(len(poly), dtype=bool), wrap=False)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +190,8 @@ def _build_cuboid(params: dict, segments: int) -> tuple[TriMesh, Callable]:
 
 def _build_cylinder(params: dict, segments: int) -> tuple[TriMesh, Callable]:
     r, h, angle = (params[k] for k in FAMILY_PARAM_ORDER["cylinder"])
-    profile = [(0.0, -h / 2), (r, -h / 2), (r, h / 2), (0.0, h / 2)]
-    n_az = max(2, math.ceil(segments * angle / 360.0))
-    mesh = revolve_polygon(np.array(profile), angle, n_az)
-
-    def inside(p):
-        radial = p[:, 0] ** 2 + p[:, 1] ** 2 <= r * r
-        axial = np.abs(p[:, 2]) <= h / 2
-        return radial & axial & _azimuth_ok(p[:, 0], p[:, 1], angle)
-
-    return mesh, inside
+    cone = {"radius_1": r, "radius_2": r, "height": h, "angle": angle}
+    return _build_cone(cone, segments)
 
 
 def _build_cone(params: dict, segments: int) -> tuple[TriMesh, Callable]:
@@ -327,12 +316,10 @@ def default_segments(family: str, params: dict, finest_dx: float) -> int:
     """
     if family in ("cuboid", "wedge"):
         return 16
-    if family == "cylinder":
+    if family in ("cylinder", "sphere"):
         r_max = params["radius"]
     elif family == "cone":
         r_max = max(params["radius_1"], params["radius_2"])
-    elif family == "sphere":
-        r_max = params["radius"]
     elif family == "torus":
         r_max = params["radius_major"] + params["radius_minor"]
     else:
@@ -354,14 +341,11 @@ def analytic_volume(family: str, params: dict, mesh: TriMesh | None = None) -> f
     if family == "torus":
         R, r = (params[k] for k in FAMILY_PARAM_ORDER["torus"])
         return 2.0 * math.pi ** 2 * R * r * r
-    if family == "sphere":
-        if all(params.get(k) is None for k in ("alpha", "beta", "gamma")):
-            return 4.0 / 3.0 * math.pi * params["radius"] ** 3
+    sector = any(params.get(k) is not None for k in ("alpha", "beta", "gamma"))
+    if family == "sphere" and not sector:
+        return 4.0 / 3.0 * math.pi * params["radius"] ** 3
+    if family in ("sphere", "wedge"):
         if mesh is None:
-            raise GeometryError("sectored sphere volume needs the mesh")
-        return mesh.signed_volume()
-    if family == "wedge":
-        if mesh is None:
-            raise GeometryError("wedge volume needs the mesh")
+            raise GeometryError(f"{family} volume needs the mesh")
         return mesh.signed_volume()
     raise GeometryError(f"unknown shape family {family!r}")

@@ -152,7 +152,7 @@ def _write_manifest(case_dir: Path, manifest: dict):
 def read_manifest(case_dir) -> dict:
     path = Path(case_dir) / "manifest.yaml"
     if not path.exists():
-        raise OrchestrationError(f"manifest missing in {case_dir}")
+        raise ArtifactIOError(f"no case manifest at {path}")
     return read_yaml(path)
 
 

@@ -161,6 +161,15 @@ def _sorted_knn(index: SpatialIndex, targets: np.ndarray, width: int):
             np.take_along_axis(idx, order, axis=1))
 
 
+def _by_distance(index: SpatialIndex, target: np.ndarray, members):
+    """Ball-query ``members`` around one target and their distances, both
+    sorted by (distance, source id)."""
+    members = np.asarray(members, dtype=np.int64)
+    d = np.linalg.norm(index.positions[members] - target, axis=1)
+    order = np.lexsort((members, d))
+    return d[order], members[order]
+
+
 def _neighbor_sets_n_closest(index: SpatialIndex, targets: np.ndarray, k: int):
     """Tie-inclusive k-nearest sets as padded (dist, idx, valid) arrays.
 
@@ -187,11 +196,10 @@ def _neighbor_sets_n_closest(index: SpatialIndex, targets: np.ndarray, k: int):
         # rows whose tie set may extend past the buffer need a full ball query
         full = (wide_dist[:, -1] <= tie_limit[escalate]) & (buffer < n_src)
         for r in escalate[full]:
-            members = np.asarray(sorted(index.tree.query_ball_point(
-                targets[r], float(tie_limit[r]), workers=1)), dtype=np.int64)
-            d = np.linalg.norm(index.positions[members] - targets[r], axis=1)
-            order = np.lexsort((members, d))
-            blocks.append(([r], d[order][None, :], members[order][None, :]))
+            members = index.tree.query_ball_point(
+                targets[r], float(tie_limit[r]), workers=1)
+            d, members = _by_distance(index, targets[r], members)
+            blocks.append(([r], d[None, :], members[None, :]))
 
     # rows are sorted, so each footprint is a prefix and its length a count
     counts = np.zeros(len(targets), dtype=np.int64)
@@ -218,12 +226,8 @@ def _neighbor_sets_radius(index: SpatialIndex, targets: np.ndarray, r: float):
     for row, members in enumerate(lists):
         if not members:
             continue
-        members = np.asarray(sorted(members), dtype=np.int64)
-        d = np.linalg.norm(index.positions[members] - targets[row], axis=1)
-        order = np.lexsort((members, d))
-        members, d = members[order], d[order]
-        dist[row, :len(members)] = d
-        idx[row, :len(members)] = members
+        d, members = _by_distance(index, targets[row], members)
+        dist[row, :len(d)], idx[row, :len(d)] = d, members
     valid = np.isfinite(dist)
     return dist, idx, valid, counts
 

@@ -194,11 +194,10 @@ class MeshAccel:
         vertex_pn /= np.maximum(np.linalg.norm(vertex_pn, axis=1, keepdims=True),
                                 1e-300)
 
-        # per-triangle edge pseudonormals: the two adjacent face normals summed
-        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        keys = np.sort(edges, axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        edge_sum = np.zeros((len(uniq), 3))
+        # per-triangle edge pseudonormals: the face normals on each edge of
+        # TriMesh.edges summed (the two of a certified watertight mesh)
+        inverse, counts = mesh.edges()
+        edge_sum = np.zeros((len(counts), 3))
         np.add.at(edge_sum, inverse, np.repeat(normals, 3, axis=0))
         edge_sum /= np.maximum(np.linalg.norm(edge_sum, axis=1, keepdims=True),
                                1e-300)

@@ -301,6 +301,10 @@ class TestUnparseableArtifacts:
         assert run(["gate", "--case", case_dir]) == 2
         assert "manifest.yaml" in capsys.readouterr().err
 
+    def test_missing_manifest_under_gate(self, tmp_path, capsys):
+        assert run(["gate", "--case", tmp_path]) == 2
+        assert "manifest.yaml" in capsys.readouterr().err
+
     def test_index_under_resample(self, pipeline, tmp_path, capsys):
         cases = tmp_path / "cases"
         shutil.copytree(pipeline["cases"], cases)

@@ -49,6 +49,11 @@ class TestResolve:
         with pytest.raises(ConfigError, match="sdf_policy.dxx"):
             resolve_config(override_list=["sdf_policy.dxx=8"])
 
+    def test_wedge_x_min_rejected(self):
+        # no geometry reads it, so it must not reach the hashed config
+        with pytest.raises(ConfigError, match="shapes.wedge.x_min"):
+            resolve_config(override_list=["shapes.wedge.x_min=[1,2]"])
+
     def test_parse_failure_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("repeat: 3\n  bad_indent: { [\n")

@@ -117,6 +117,49 @@ class TestTessellation:
                                    0.0, atol=1e-6)
 
 
+class TestCheckWatertight:
+    """Each defect is caught by its own check, in the order of the checks."""
+
+    @pytest.fixture
+    def cube(self):
+        return tessellate("cuboid",
+                          {"height": 10, "width": 10, "thickness": 10}, 16).mesh
+
+    @pytest.mark.parametrize("defect, message", [
+        ("empty", "empty mesh"),
+        ("out_of_range", "triangle index out of range"),
+        ("negative_index", "triangle index out of range"),
+        ("zero_area", "degenerate"),
+        ("one_flipped", "inconsistent winding"),
+        ("one_removed", "not watertight"),
+        ("all_flipped", "inward orientation"),
+    ])
+    def test_defect_raises(self, cube, defect, message):
+        tris = cube.triangles.copy()
+        if defect == "empty":
+            tris = tris[:0]
+        elif defect == "out_of_range":
+            tris[3, 1] = len(cube.vertices)
+        elif defect == "negative_index":
+            tris[3, 1] = -1
+        elif defect == "zero_area":
+            tris[3, 1] = tris[3, 0]
+        elif defect == "one_flipped":
+            tris[3] = tris[3, ::-1]
+        elif defect == "one_removed":
+            tris = np.delete(tris, 3, axis=0)
+        else:
+            tris = tris[:, ::-1]
+        with pytest.raises(GeometryError, match=f"^cube: {message}"):
+            TriMesh(cube.vertices, tris).check_watertight(context="cube")
+
+    def test_closed_mesh_passes(self, cube):
+        cube.check_watertight()
+        inverse, counts = cube.edges()
+        assert len(counts) == 18 and (counts == 2).all()
+        assert inverse.shape == (3 * len(cube.triangles),)
+
+
 class TestAnalyticVolume:
     def test_cuboid(self):
         assert analytic_volume(
