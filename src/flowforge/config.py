@@ -161,12 +161,15 @@ def _normalize_family_ranges(family: str, block: dict) -> dict:
     """Accept `<param>_min` / `<param>_max` pairs next to [lo, hi] records.
 
     The classic cone block uses one radius range for both radii and names
-    the sweep `angle_min_deg` / `angle_max_deg`.
+    the sweep `angle_min_deg` / `angle_max_deg`.  A key that is itself one of
+    the family's keys (the wedge's `x_max` alias) is kept whole.
     """
     out = {}
     pairs: dict[str, dict] = {}
     for key, value in block.items():
-        if key in ("angle_min_deg", "angle_max_deg"):
+        if key in _FAMILY_KEYS.get(family, ()):
+            out[key] = value
+        elif key in ("angle_min_deg", "angle_max_deg"):
             pairs.setdefault("angle", {})[key.rsplit("_", 2)[1]] = value
         elif key.endswith("_min") or key.endswith("_max"):
             stem, bound = key[:-4], key[-3:]

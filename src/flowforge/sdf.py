@@ -1,6 +1,6 @@
 """Signed distance fields from watertight triangle meshes.
 
-Every distance query is one exhaustive nearest-triangle scan
+A distance query at given points is one exhaustive nearest-triangle scan
 (``nearest_triangles``) over exact point-triangle distances, in kernel calls
 of bounded size; the sign comes from the dot product of the offset vector
 with the angle-weighted pseudonormal of the closest feature (vertex, edge,
@@ -11,11 +11,17 @@ the block of voxels within the band of the mesh's bounding box; the rest of
 the grid is outside the solid and is written as the band edge directly.
 Triangles are grouped by the leaves of a median-split partition.  A cheap
 first pass gives every block voxel an upper bound on its distance (to one
-on-surface point per nearby leaf); the band pass then scans each leaf's
-triangles only for the voxels of its dilated box whose leaf-box lower bound
-is within the band, below the current distance and not above that upper
-bound.  Far voxels get their sign from one exact query per connected
-far-field component of the block and are clamped to the band edge.
+on-surface point per nearby leaf); the band pass then admits to each leaf
+only the voxels of its dilated box whose leaf-box lower bound is within the
+band, below the current distance and not above that upper bound.  Inside a
+leaf, each (voxel, triangle) pair has its own lower bound, the larger of the
+distances to the triangle's plane and to its bounding ball, and only the
+pairs whose bound is within the smallest of those three limits, widened by
+the triangle's rounding slack, reach the exact kernel.  Each band voxel
+keeps its winning triangle and closest point, and the signs are taken in one
+pass after the scan.  Far voxels get their sign from one exact query per
+connected far-field component of the block and are clamped to the band
+edge.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .geometry.mesh import TriMesh
 
 _LEAF_SIZE = 16
 
-# point-triangle pairs per kernel call; bounds its (K, T, 3) temporaries to
-# a few MB whatever the number of points
+# point-triangle pairs per kernel or bound call; bounds their (K, T, 3)
+# temporaries to a few MB whatever the number of points
 _PAIR_BUDGET = 1 << 18
 
 # feature codes from point-triangle classification
@@ -38,23 +44,13 @@ _F_V0, _F_V1, _F_V2, _F_E01, _F_E12, _F_E20, _F_FACE = range(7)
 
 
 # ---------------------------------------------------------------------------
-# Exact point-triangle distance (vectorized over points x triangles)
+# Exact point-triangle distance: one region split, two entries
 # ---------------------------------------------------------------------------
-def _point_triangle(points: np.ndarray, base: np.ndarray, e0: np.ndarray,
-                    e1: np.ndarray):
-    """Closest-point parameters for every (point, triangle) pair.
-
-    Returns (dist2, s, t) with shapes (K, T); the closest point is
-    ``base + s*e0 + t*e1`` with (s, t) clamped to the triangle.  Region
-    handling follows the standard closest-point-on-triangle case split.
-    """
-    a = np.einsum("tj,tj->t", e0, e0)
-    b = np.einsum("tj,tj->t", e0, e1)
-    c = np.einsum("tj,tj->t", e1, e1)
-    diff = base[None, :, :] - points[:, None, :]          # (K, T, 3)
-    d = np.einsum("ktj,tj->kt", diff, e0)
-    e = np.einsum("ktj,tj->kt", diff, e1)
-
+def _region_split(a, b, c, d, e):
+    """Clamped closest-point parameters (s, t) from the entries of the 2x2
+    system: a = e0.e0, b = e0.e1, c = e1.e1, d = (base - p).e0 and
+    e = (base - p).e1, broadcast against each other.  Region handling
+    follows the standard closest-point-on-triangle case split."""
     det = np.maximum(a * c - b * b, 1e-300)
     s = b * e - c * d
     t = b * d - a * e
@@ -92,12 +88,44 @@ def _point_triangle(points: np.ndarray, base: np.ndarray, e0: np.ndarray,
                            np.where(t < 0, t4, t_edge_c),
                            np.where(t < 0, 0.0, t0)),
                   np.where(s < 0, t2, np.where(t < 0, t6, t1)))
+    return sn, tn
 
+
+def _point_triangle(points: np.ndarray, base: np.ndarray, e0: np.ndarray,
+                    e1: np.ndarray):
+    """Closest-point parameters for every (point, triangle) pair.
+
+    Returns (dist2, s, t) with shapes (K, T); the closest point is
+    ``base + s*e0 + t*e1`` with (s, t) clamped to the triangle.
+    """
+    a = np.einsum("tj,tj->t", e0, e0)
+    b = np.einsum("tj,tj->t", e0, e1)
+    c = np.einsum("tj,tj->t", e1, e1)
+    diff = base[None, :, :] - points[:, None, :]          # (K, T, 3)
+    d = np.einsum("ktj,tj->kt", diff, e0)
+    e = np.einsum("ktj,tj->kt", diff, e1)
+    sn, tn = _region_split(a, b, c, d, e)
     closest = (base[None, :, :] + sn[:, :, None] * e0[None, :, :]
                + tn[:, :, None] * e1[None, :, :])
     delta = closest - points[:, None, :]
-    dist2 = np.einsum("ktj,ktj->kt", delta, delta)
-    return dist2, sn, tn
+    return np.einsum("ktj,ktj->kt", delta, delta), sn, tn
+
+
+def _point_triangle_pairs(points: np.ndarray, base: np.ndarray,
+                          e0: np.ndarray, e1: np.ndarray):
+    """``_point_triangle`` for P gathered pairs: row p of every (P, 3)
+    input is one (point, triangle) pair.  Returns (dist2, s, t) with shape
+    (P,), bit-equal to the dense kernel's entries for the same pairs (every
+    dot product is the same ``einsum`` reduction)."""
+    a = np.einsum("pj,pj->p", e0, e0)
+    b = np.einsum("pj,pj->p", e0, e1)
+    c = np.einsum("pj,pj->p", e1, e1)
+    diff = base - points
+    d = np.einsum("pj,pj->p", diff, e0)
+    e = np.einsum("pj,pj->p", diff, e1)
+    sn, tn = _region_split(a, b, c, d, e)
+    delta = base + sn[:, None] * e0 + tn[:, None] * e1 - points
+    return np.einsum("pj,pj->p", delta, delta), sn, tn
 
 
 def _feature_codes(s: np.ndarray, t: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -172,6 +200,24 @@ class MeshAccel:
         self._normals = np.concatenate(
             [self._vertex_pn[mesh.triangles], self._edge_pn,
              self._face_normals[:, None]], axis=1)
+        # the band pass's per-pair lower bounds: the supporting plane
+        # n.p = offset, and the ball about the centroid through the farthest
+        # corner
+        self._offset = np.einsum("tj,tj->t", self._face_normals, self._base)
+        self._centroid = corners.mean(axis=1)
+        spokes = corners - self._centroid[:, None]
+        self._radius = np.sqrt(np.einsum("tkj,tkj->tk", spokes, spokes)
+                               .max(axis=1))
+        # the kernel's error bound per unit of coordinate scale, 16 eps kappa,
+        # kappa = |e0|^2 |e1|^2 / |e0 x e1|^2 being the condition number of
+        # its (s, t) solve; infinite for a zero-area triangle
+        cross = np.cross(self._e0, self._e1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = (np.einsum("tj,tj->t", self._e0, self._e0)
+                     * np.einsum("tj,tj->t", self._e1, self._e1)
+                     / np.einsum("tj,tj->t", cross, cross))
+        self._kernel_err = (16 * np.finfo(np.float64).eps
+                            * np.nan_to_num(kappa, nan=np.inf))
         self._build_leaves()
 
     # -- pseudonormals -------------------------------------------------------
@@ -302,6 +348,68 @@ def _block_norm(offsets) -> np.ndarray:
     return np.sqrt(ox[:, None, None] + oy[None, :, None] + oz[None, None, :])
 
 
+def _pair_bounds(points, centroid, radius, normal, offset) -> np.ndarray:
+    """(K, T) lower bounds on point-triangle distances: the larger of the
+    distance to the triangle's plane and to its bounding ball."""
+    off = points[:, None, :] - centroid
+    ball = np.sqrt(np.einsum("ktj,ktj->kt", off, off))
+    ball -= radius
+    plane = np.einsum("kj,tj->kt", points, normal)
+    plane -= offset
+    np.abs(plane, out=plane)
+    return np.maximum(plane, ball, out=plane)
+
+
+def _leaf_nearest(accel: MeshAccel, tri_ids: np.ndarray, points: np.ndarray,
+                  limit: np.ndarray, slack: np.ndarray):
+    """Each point's nearest triangle of one leaf, among the pairs that the
+    per-pair lower bound cannot reject.
+
+    A pair is evaluated exactly only when its ``_pair_bounds`` bound is at
+    most the point's ``limit`` plus the triangle's ``slack``.  Returns
+    (dist, tri, s, t) with shape (K,): the
+    distance, triangle and closest-point parameters of each point's first
+    minimum in leaf order, dist being inf where every pair was rejected.
+    Both passes hold at most ``_PAIR_BUDGET`` pairs per call.
+    """
+    n_tri = len(tri_ids)
+    centroid, radius = accel._centroid[tri_ids], accel._radius[tri_ids]
+    normal, offset = accel._face_normals[tri_ids], accel._offset[tri_ids]
+    slack = slack[tri_ids]
+    n = len(points)
+    dist, s, t = np.empty(n), np.empty(n), np.empty(n)
+    tri = np.empty(n, dtype=np.intp)
+    step = max(1, _PAIR_BUDGET // n_tri)
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        pts = points[chunk]
+        bound = _pair_bounds(pts, centroid, radius, normal, offset)
+        bound -= slack
+        pairs = np.flatnonzero(bound <= limit[chunk, None])
+        if not len(pairs):
+            dist[chunk] = np.inf
+            continue
+        k, j = np.divmod(pairs, n_tri)
+        ids = tri_ids[j]
+        # take(axis=0) gathers rows several times faster than fancy indexing
+        d2, sp, tp = _point_triangle_pairs(
+            pts.take(k, axis=0), accel._base.take(ids, axis=0),
+            accel._e0.take(ids, axis=0), accel._e1.take(ids, axis=0))
+        # back on the (points, triangles) grid, rejected pairs reading inf:
+        # the first minimum of each row, and its position among the pairs
+        full = np.full(bound.size, np.inf)
+        full[pairs] = d2
+        first = full.reshape(bound.shape).argmin(axis=1)
+        win = np.arange(len(pts)) * n_tri + first
+        dist[chunk] = np.sqrt(full[win])
+        # a row without kept pairs reads some other pair's (s, t); its
+        # distance is inf, so it is never used
+        at = np.searchsorted(pairs, win)
+        tri[chunk] = tri_ids[first]
+        s[chunk], t[chunk] = sp.take(at, mode="clip"), tp.take(at, mode="clip")
+    return dist, tri, s, t
+
+
 def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
              accel: MeshAccel | None = None) -> DenseField:
     """Dense signed-distance field clamped to +-band_w voxels.
@@ -315,14 +423,22 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     than the band, so it is written as +band_lu directly.  A first pass over
     the partition's leaves gives each block voxel an upper bound ``ub`` on its
     distance: the distance to one on-surface point (a triangle centroid) of
-    every leaf whose dilated box holds it.  The band pass then evaluates a
-    voxel against a leaf only when the leaf-box lower bound is within the
-    band, below the voxel's current distance and not above ``ub`` (plus a
-    rounding slack), in chunks of at most ``_PAIR_BUDGET`` point-triangle
-    pairs.  A culled leaf can never hold the first minimum, so the result
-    equals the exhaustive leaf-by-leaf scan bit for bit.  Far voxels get
-    their sign from one exact query per connected far-field component of
-    the block and are clamped to the band edge.
+    every leaf whose dilated box holds it.  The band pass then admits a
+    voxel to a leaf only when the leaf-box lower bound is within the band,
+    below the voxel's current distance and not above ``ub`` (plus a rounding
+    slack).  Each admitted (voxel, triangle) pair gets a lower bound, the
+    larger of its plane distance ``|n.p - n.v0|`` and its bounding-ball
+    distance ``|p - c| - r``; the exact kernel runs only on the pairs whose
+    bound is at most min(current, ub, band edge) plus the triangle's slack,
+    the larger of 1e-9 band_lu and the kernel's error bound 16 eps kappa x
+    coordinate scale.  Both passes run in chunks of at most ``_PAIR_BUDGET``
+    pairs.  A voxel's first minimum in leaf order replaces its distance on a
+    strict improvement, and the winning triangle and closest point give the
+    band voxels their signs in one ``_side`` call after the scan.  A culled
+    leaf or pair can never hold the first minimum, so the result equals the
+    exhaustive leaf-by-leaf scan bit for bit.  Far voxels get their sign
+    from one exact query per connected far-field component of the block and
+    are clamped to the band edge.
     """
     if band_w < 1:
         raise FieldError("narrow-band half-width must be at least 1 voxel")
@@ -346,10 +462,9 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
 
     # upper bound: distance to the leaf's triangle centroid nearest its box
     # centre, minimised over the leaves whose dilated box holds the voxel
-    centroids = accel.mesh.corners.mean(axis=1)
     ub = np.full(shape, np.inf)
     for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
-        cand = centroids[tri_ids]
+        cand = accel._centroid[tri_ids]
         off = cand - (leaf_lo + leaf_hi) / 2.0
         near = cand[np.argmin(np.einsum("kj,kj->k", off, off))]
         np.minimum(ub[sl], _block_norm([coords[a] - near[a] for a in range(3)]),
@@ -358,8 +473,16 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     ub *= 1.0 + 1e-12
     ub += 1e-9 * band_lu
 
+    # per-pair slack: the bound's rounding, or the kernel's own error at
+    # this coordinate scale where that is larger (slivers)
+    axes = [grid.axis_coords(a)[block[a]] for a in range(3)]
+    scale = (np.abs(accel.mesh.corners).max()
+             + max(np.abs(ax[[0, -1]]).max() for ax in axes))
+    slack = np.maximum(1e-9 * band_lu, accel._kernel_err * scale)
+
     dist = np.full(shape, np.inf, dtype=np.float64)
-    sign = np.ones(shape, dtype=np.int8)
+    win_tri = np.empty(shape, dtype=np.intp)
+    win_s, win_t = np.empty(shape), np.empty(shape)
     for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
         lower = _block_norm([np.maximum(np.maximum(leaf_lo[a] - coords[a], 0.0),
                                         coords[a] - leaf_hi[a]) for a in range(3)])
@@ -370,13 +493,20 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
             continue
         ijk = np.unravel_index(act, lower.shape)
         pts = np.column_stack([coords[a][ijk[a]] for a in range(3)])
-        d2, k, s, t = nearest_triangles(pts, accel._base[tri_ids],
-                                        accel._e0[tri_ids], accel._e1[tri_ids])
-        dmin = np.sqrt(d2)
-        rows = np.flatnonzero(dmin < current[ijk])
+        now = current[ijk]
+        limit = np.minimum(np.minimum(now, ub[sl][ijk]), band_lu)
+        dmin, tri, s, t = _leaf_nearest(accel, tri_ids, pts, limit, slack)
+        rows = np.flatnonzero(dmin < now)
         target = tuple(ijk[a][rows] for a in range(3))
         current[target] = dmin[rows]
-        sign[sl][target] = accel._side(pts[rows], tri_ids[k[rows]], s[rows], t[rows])
+        win_tri[sl][target], win_s[sl][target], win_t[sl][target] = (
+            tri[rows], s[rows], t[rows])
+
+    # band voxels: the sign of each one's winning closest point
+    sign = np.ones(shape, dtype=np.int8)
+    band = np.nonzero(dist <= band_lu)
+    pts = np.column_stack([axes[a][band[a]] for a in range(3)])
+    sign[band] = accel._side(pts, win_tri[band], win_s[band], win_t[band])
 
     # far-field: clamp, one exact sign query per connected component
     far = dist > band_lu

@@ -54,6 +54,17 @@ class TestResolve:
         with pytest.raises(ConfigError, match="shapes.wedge.x_min"):
             resolve_config(override_list=["shapes.wedge.x_min=[1,2]"])
 
+    def test_wedge_alias_in_file_equals_override(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("shapes:\n  wedge:\n    x_max: [20, 21]\n")
+        from_file = resolve_config(path)
+        from_override = resolve_config(
+            override_list=["shapes.wedge.x_max=[20,21]"])
+        assert from_file.data["shapes"]["wedge"]["x_max"] == [20, 21]
+        assert (from_file.data["shapes"]["wedge"]
+                == from_override.data["shapes"]["wedge"])
+        assert config_hash(from_file) == config_hash(from_override)
+
     def test_parse_failure_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("repeat: 3\n  bad_indent: { [\n")

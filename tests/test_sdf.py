@@ -17,8 +17,8 @@ from flowforge.geometry import (TriMesh, build_scene, concatenate,
                                 draw_dimension, tessellate, validate_candidate)
 from flowforge.geometry.scene import PlacedShape, Pose, _context_entry
 from flowforge.sampling import GeneratorState, freeze_dimension
-from flowforge.sdf import (MeshAccel, _point_triangle, signed_distance_at,
-                           voxelize)
+from flowforge.sdf import (MeshAccel, _point_triangle, _point_triangle_pairs,
+                           signed_distance_at, voxelize)
 
 
 def sphere_mesh(r=5.0, segments=64, center=(0.0, 0.0, 0.0)):
@@ -198,6 +198,70 @@ class TestPointTriangleKernel:
     def test_thin_triangles_in_plane(self, height):
         tri = _placed_triangle(1.0, 4.0, height, (0.3, -1.1, 2.0), (1, 0, 0))
         self.check(tri, _probe_points(tri, seed=0)[:48], rel=1e-6)
+
+
+class TestPairKernel:
+    """The band pass's pair entry against the dense kernel, on the float64
+    bit pattern of dist2, s and t: both must reduce every dot product the
+    same way, or the voxelizer's winners drift from the exhaustive scan."""
+
+    @staticmethod
+    def check(corners, points, seed):
+        corners = np.asarray(corners, dtype=np.float64).reshape(-1, 3, 3)
+        base = corners[:, 0]
+        e0, e1 = corners[:, 1] - base, corners[:, 2] - base
+        dense = _point_triangle(points, base, e0, e1)
+        # every pair, in an order unrelated to the dense layout
+        order = np.random.default_rng(seed).permutation(
+            len(points) * len(base))
+        k, t = np.divmod(order, len(base))
+        pairs = _point_triangle_pairs(points[k], base[t], e0[t], e1[t])
+        for got, want in zip(pairs, dense):
+            assert np.array_equal(got.view(np.uint64),
+                                  want[k, t].view(np.uint64))
+
+    @given(_seed)
+    @settings(max_examples=20, deadline=None)
+    def test_random_triangles(self, seed):
+        rng = np.random.default_rng(seed)
+        corners = rng.normal(scale=50.0, size=(16, 3, 3))
+        self.check(corners, rng.normal(scale=100.0, size=(200, 3)), seed)
+
+    @given(st.floats(0.1, 1e3),
+           st.one_of(st.floats(-3.0, -0.05), st.floats(1.05, 4.0)),
+           st.floats(0.01, 1.0), _angles, _shift, _seed)
+    @settings(max_examples=30, deadline=None)
+    def test_obtuse_triangles(self, length, apex_x, height, angles, shift,
+                              seed):
+        tri = _placed_triangle(length, apex_x, height, angles, shift)
+        self.check(tri, _probe_points(tri, seed), seed)
+
+    @given(st.floats(0.1, 1e3), st.floats(-3.0, 4.0), st.floats(-6.0, -2.0),
+           _angles, _shift, _seed)
+    @settings(max_examples=30, deadline=None)
+    def test_sliver_triangles(self, length, apex_x, log_height, angles, shift,
+                              seed):
+        tri = _placed_triangle(length, apex_x, 10.0**log_height, angles, shift)
+        self.check(tri, _probe_points(tri, seed), seed)
+
+    @given(st.floats(0.1, 1e3), st.floats(-3.0, 4.0), st.floats(-6.0, 0.0),
+           _angles, _shift, _seed)
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_below_kernel_distance(self, length, apex_x, log_height,
+                                          angles, shift, seed):
+        # the band pass culls a pair when its bound exceeds a limit by the
+        # slack; the kernel's closest point lies on the triangle up to
+        # rounding, so even on slivers the bound stays below its distance
+        # to within rounding, far inside the 1e-9 band_lu slack floor
+        tri = _placed_triangle(length, apex_x, 10.0**log_height, angles, shift)
+        points = _probe_points(tri, seed)
+        accel = MeshAccel(TriMesh(tri, np.array([[0, 1, 2]])), check=False)
+        bound = sdf._pair_bounds(points, accel._centroid, accel._radius,
+                                 accel._face_normals, accel._offset)
+        d2, _, _ = _point_triangle(points, accel._base, accel._e0, accel._e1)
+        scale = np.abs(tri).max() + np.abs(points).max()
+        assert (bound <= np.sqrt(d2) + 64 * np.finfo(np.float64).eps
+                * scale).all()
 
 
 class TestVoxelize:
@@ -437,6 +501,29 @@ def _placed_sphere(radius, segments, center):
                        max_edge=mesh.max_edge_length())
 
 
+def _rotated_solid(family, params, segments, angles, center):
+    """A solid turned by the Euler ``angles`` about its centroid, then
+    moved to ``center``."""
+    solid = tessellate(family, params, segments)
+    rot = Rotation.from_euler("xyz", angles).as_matrix()
+    vertices = (solid.mesh.vertices - solid.centroid) @ rot.T
+    return TriMesh(vertices + np.asarray(center), solid.mesh.triangles)
+
+
+def _thinnest(mesh):
+    """Smallest height/longest-edge ratio over the mesh's triangles."""
+    c = mesh.corners
+    edges = c[:, [1, 2, 0]] - c
+    longest2 = np.einsum("tkj,tkj->tk", edges, edges).max(axis=1)
+    area2 = np.linalg.norm(np.cross(edges[:, 0], edges[:, 1]), axis=1)
+    return (area2 / longest2).min()
+
+
+# a long truncated cone at 128 segments: its lateral triangles are slivers
+# thinner than the thinnest criterion-07 object (height/edge 3.3e-3), with
+# kernel condition numbers kappa up to about 4e5
+_SLIVER_CONE = {"radius_1": 30.0, "radius_2": 10.0, "height": 300.0,
+                "angle": 360.0}
 _CUBOID = {"height": 96.0, "width": 160.0, "thickness": 96.0}
 _WEDGE = {"length": 192.0, "width": 128.0, "height": 96.0, "opening_angle": 40.0}
 _SPHERE = {"radius": 64.0, "alpha": None, "beta": None, "gamma": None}
@@ -469,7 +556,21 @@ class TestVoxelizeEquivalence:
             _solid("cuboid", {"height": 300, "width": 300, "thickness": 300},
                    16, (1024.0, 256.0, 256.0)),
             GridSpec.preset(16), 2),
+        # slivers, where the kernel's (s, t) solve is worst conditioned
+        "sliver_cone_dx8": lambda: (
+            _rotated_solid("cone", _SLIVER_CONE, 128, (0.2, 1.45, 0.1),
+                           (1000.3, 255.1, 257.8)),
+            GridSpec.preset(8), 8),
+        # supporting planes not aligned with the grid
+        "rotated_cuboid_dx8": lambda: (
+            _rotated_solid("cuboid", _CUBOID, 16, (0.4, -0.7, 1.1),
+                           (600.2, 254.7, 256.9)),
+            GridSpec.preset(8), 8),
     }
+
+    def test_sliver_cone_is_thin(self):
+        mesh, _, _ = self.CASES["sliver_cone_dx8"]()
+        assert _thinnest(mesh) <= 3.3e-3
 
     @staticmethod
     def assert_bit_equal(mesh, grid, band_w):
@@ -491,20 +592,27 @@ class TestVoxelizeEquivalence:
 
     def test_kernel_calls_stay_within_pair_budget(self, monkeypatch):
         # one 12-triangle leaf whose dilated block holds ~447k voxels at
-        # dx=8: an unchunked band pass makes one call of over 5 M pairs
-        pairs = []
-        kernel = sdf._point_triangle
+        # dx=8: an unchunked band pass bound-tests over 5 M pairs in one
+        # call.  Both passes of the band scan are counted: the per-pair
+        # bound and the exact kernel on the pairs it keeps.
+        bounded, exact = [], []
+        bounds, kernel = sdf._pair_bounds, sdf._point_triangle_pairs
 
-        def counted(points, base, e0, e1):
-            pairs.append(len(points) * len(base))
-            return kernel(points, base, e0, e1)
+        def counted_bounds(points, centroid, *rest):
+            bounded.append(len(points) * len(centroid))
+            return bounds(points, centroid, *rest)
 
-        monkeypatch.setattr(sdf, "_point_triangle", counted)
+        def counted_kernel(points, *rest):
+            exact.append(len(points))
+            return kernel(points, *rest)
+
+        monkeypatch.setattr(sdf, "_pair_bounds", counted_bounds)
+        monkeypatch.setattr(sdf, "_point_triangle_pairs", counted_kernel)
         mesh = _solid("cuboid", {"height": 400, "width": 1000, "thickness": 400},
                       16, (1024.0, 256.0, 256.0))
         voxelize(mesh, GridSpec.preset(8), band_w=8)
-        assert sum(pairs) > 5_000_000
-        assert max(pairs) <= sdf._PAIR_BUDGET
+        assert sum(bounded) > 5_000_000
+        assert max(bounded + exact) <= sdf._PAIR_BUDGET
 
     @pytest.mark.parametrize("query", ["signed_distance", "clearance_guard",
                                        "one_point_per_call"])
