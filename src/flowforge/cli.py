@@ -132,6 +132,8 @@ def _stage_provenance(cfg: ResolvedConfig, out_dir: Path, count: int,
 # Stages
 # ---------------------------------------------------------------------------
 def _cmd_generate(args) -> int:
+    # scipy loads first: imported mid-stage, after the arrays, it adds peak RSS
+    import scipy.spatial  # noqa: F401
     cfg = _resolve(args)
     digest = config_hash(cfg)
     out_dir = Path(args.out)
@@ -163,6 +165,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sdf(args) -> int:
+    # scipy loads first: imported mid-stage, after the arrays, it adds peak RSS
+    import scipy.ndimage  # noqa: F401
     cfg = _resolve(args)
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out)
@@ -241,6 +245,8 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    # scipy loads first: imported mid-stage, after the arrays, it adds peak RSS
+    import scipy.spatial  # noqa: F401
     cfg = _resolve(args)
     cases_dir = Path(args.cases)
     out_dir = Path(args.out)
@@ -385,7 +391,12 @@ def _cmd_validate(args) -> int:
             if not (lo <= float(sim.get("Re", -1)) <= hi):
                 problems.append(f"{path.name}: Re outside policy band")
             for geom in doc.get("geometries", []):
-                if not (cfg.roi_x[0] <= float(geom["pos_x"]) <= cfg.roi_x[1]):
+                try:
+                    pos_x = float(geom["pos_x"])
+                except (KeyError, TypeError, ValueError):
+                    problems.append(f"{path.name}: geometry without a numeric pos_x")
+                    continue
+                if not (cfg.roi_x[0] <= pos_x <= cfg.roi_x[1]):
                     problems.append(f"{path.name}: centroid outside ROI")
     if problems:
         for p in problems:

@@ -232,23 +232,28 @@ def coverage_report(scene_dir, out_dir, roi_x=(146.0, 1800.0),
     skipped = 0
 
     for path in paths:
+        # parse the whole scene first, so a skipped one leaves no rows behind
         try:
             doc = read_scene_yaml(path)
             sim = doc["simulation_parameters"]
             scene_re = float(sim["Re"])
-            inlets.append((float(sim["inlet_velocity_x"]),
-                           float(sim["inlet_velocity_y"]),
-                           float(sim["inlet_velocity_z"]),
-                           float(sim["vector_magnitude"])))
-            res.append(scene_re)
-            for geom in doc["geometries"]:
-                families.append(str(geom["type"]))
-                centers.append((float(geom["pos_x"]), float(geom["pos_y"]),
-                                float(geom["pos_z"])))
-                re_by_family.setdefault(str(geom["type"]), []).append(scene_re)
+            inlet = (float(sim["inlet_velocity_x"]),
+                     float(sim["inlet_velocity_y"]),
+                     float(sim["inlet_velocity_z"]),
+                     float(sim["vector_magnitude"]))
+            objects = [(str(geom["type"]),
+                        (float(geom["pos_x"]), float(geom["pos_y"]),
+                         float(geom["pos_z"])))
+                       for geom in doc["geometries"]]
         except (KeyError, TypeError, ValueError, ArtifactIOError):
             skipped += 1
             continue
+        inlets.append(inlet)
+        res.append(scene_re)
+        for family, center in objects:
+            families.append(family)
+            centers.append(center)
+            re_by_family.setdefault(family, []).append(scene_re)
 
     if not families:
         raise ArtifactIOError(f"no parseable scene sidecars under {scene_dir}")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import GeometryError
 from ..sampling import GeneratorState, advance_on_reject, next_point
@@ -198,13 +197,14 @@ class PlacedShape:
 @dataclass
 class _ContextEntry:
     placed: PlacedShape
-    vertex_tree: cKDTree
+    vertex_tree: object             # scipy.spatial.cKDTree
     tri_base: np.ndarray
     tri_e0: np.ndarray
     tri_e1: np.ndarray
 
 
 def _context_entry(placed: PlacedShape) -> _ContextEntry:
+    from scipy.spatial import cKDTree   # on first use: see README "Dependencies"
     corners = placed.mesh.corners
     return _ContextEntry(
         placed=placed,

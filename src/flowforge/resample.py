@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ArtifactIOError, FieldError
 from .fields import DenseField, GridSpec, tensor_bytes  # noqa: F401 (re-export)
@@ -128,6 +127,7 @@ class SpatialIndex:
     """Exact k-NN and radius queries (results identical to a linear scan)."""
 
     def __init__(self, positions):
+        from scipy.spatial import cKDTree   # on first use: see README "Dependencies"
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         if len(positions) == 0:
             raise FieldError("cannot index an empty point set")
@@ -252,7 +252,6 @@ class ResampleOperator:
     idx: np.ndarray | None           # (T, W) footprint ids; None for voronoi
     weights: np.ndarray | None       # (T, W), zero outside the footprint
     wsum: np.ndarray | None          # (T,) row sums of ``weights``
-    ok: np.ndarray | None            # rows averaged over their footprint
     exact_hit: np.ndarray | None     # rows on a source: take it unchanged
     hole_rows: np.ndarray            # rows with no usable weight ...
     hole_sources: np.ndarray         # ... and the nearest source each takes
@@ -288,7 +287,7 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
 
     if kernel.kind == "voronoi":
         # nearest source wins
-        idx = weights = wsum = ok = exact_hit = None
+        idx = weights = wsum = exact_hit = None
         covered = has_any
     else:
         offsets = index.positions[idx] - targets[:, None, :]
@@ -315,7 +314,7 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
     return ResampleOperator(
         target=target, kernel=kernel.kind, footprint=footprint.mode,
         n_sources=len(index.positions), anchor=anchor, idx=idx,
-        weights=weights, wsum=wsum, ok=ok, exact_hit=exact_hit,
+        weights=weights, wsum=wsum, exact_hit=exact_hit,
         hole_rows=hole_rows, hole_sources=hole_sources)
 
 
@@ -325,6 +324,11 @@ def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
     ``values`` holds one row per source position, with 1 or 3 components.
     Returns the dense field (scalar or 3-component, channels first) and a
     summary dict with the hole count and the effective footprint.
+
+    The weighted average is taken over every row without a mask.  A row
+    whose weight sum is not finite and positive is either an exact hit or
+    a hole (``build_operator`` makes every other row a hole), and both
+    kinds are overwritten after the average, so its value is never read.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -332,20 +336,24 @@ def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
     if len(values) != operator.n_sources:
         raise FieldError(f"operator built for {operator.n_sources} sources, "
                          f"got {len(values)} values")
-    anchor = values[operator.anchor]
+    anchor = values.take(operator.anchor, axis=0)
     out = anchor.copy()
 
     if operator.weights is not None:
         # nearest anchors a shifted accumulation: sum w (f - f0) / sum w + f0
         # is algebraically the weighted average but reproduces constant
         # fields bit-exactly
-        ok, wsum = operator.ok, operator.wsum
-        shifted = values[operator.idx] - anchor[:, None, :]
+        rows, width = operator.idx.shape
+        shifted = values.take(operator.idx.ravel(), axis=0).reshape(
+            rows, width, values.shape[1])
+        shifted -= anchor[:, None, :]
         numer = np.einsum("tn,tnc->tc", operator.weights, shifted)
-        out[ok] += numer[ok] / wsum[ok, None]
+        # no mask: the rows whose 0/0 or x/inf this leaves are overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out += numer / operator.wsum[:, None]
         out[operator.exact_hit] = anchor[operator.exact_hit]
 
-    out[operator.hole_rows] = values[operator.hole_sources]
+    out[operator.hole_rows] = values.take(operator.hole_sources, axis=0)
     field_values = _to_field(out, operator.target, values.shape[1])
     return DenseField(operator.target, field_values), {
         "holes": operator.holes, "kernel": operator.kernel,

@@ -27,7 +27,6 @@ edge.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FieldError
 from .fields import DenseField, GridSpec
@@ -511,6 +510,7 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     # far-field: clamp, one exact sign query per connected component
     far = dist > band_lu
     if far.any():
+        from scipy import ndimage   # on first use: see README "Dependencies"
         structure = ndimage.generate_binary_structure(3, 1)
         labels, n_comp = ndimage.label(far, structure=structure)
         comp_ids, first_flat = np.unique(labels.ravel(), return_index=True)

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +328,18 @@ class TestValidate:
         assert run(["validate", *SMALL_OVERRIDES,
                     "--scenes", pipeline["scenes"]]) == 0
 
+    def test_geometry_without_pos_x_is_a_problem(self, pipeline, tmp_path,
+                                                 capsys):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(pipeline["scenes"], scenes)
+        path = scenes / "object_1.yaml"
+        doc = yaml.safe_load(path.read_text())
+        del doc["geometries"][0]["pos_x"]
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 1
+        err = capsys.readouterr().err
+        assert "validate: object_1.yaml: geometry without a numeric pos_x" in err
+
 
 class TestMallocArena:
     @pytest.fixture
@@ -362,3 +377,105 @@ class TestAtomicWrites:
         written = [p for p in pipeline["root"].rglob("*") if p.is_file()]
         assert written
         assert [p for p in written if p.name.endswith(".tmp")] == []
+
+
+# the scipy modules an interpreter has loaded, as a Python expression
+SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'scipy')")
+
+FORGE_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+from flowforge.cli import main
+
+overrides, scenes, sdf, case, out = json.loads(sys.argv[1])
+argvs = {
+    "orchestrate": ["orchestrate", *overrides, "--scenes", scenes,
+                    "--sdf", sdf, "--out", out + "/cases", "--backend", "local"],
+    "gate": ["gate", "--case", case],
+    "report": ["report", *overrides, "--scenes", scenes,
+               "--out", out + "/report"],
+    "validate": ["validate", *overrides, "--scenes", scenes],
+}
+loaded = {}
+for name, argv in argvs.items():
+    loaded[name] = [main(argv), %s]
+print(json.dumps(loaded))
+""" % SCIPY_LOADED
+
+CONCURRENT_VOXELIZE = """
+import json, sys, threading
+from flowforge.fields import GridSpec
+from flowforge.geometry import tessellate
+from flowforge.sdf import voxelize
+
+before = %s
+mesh = tessellate("sphere", {"radius": 10.0, "alpha": None, "beta": None,
+                             "gamma": None}, 32).mesh.translated((16, 16, 16))
+grid = GridSpec(origin=(0, 0, 0), spacing=(1, 1, 1), dims=(33, 33, 33))
+n = 4
+barrier = threading.Barrier(n)
+fields = [None] * n
+
+def work(i):
+    barrier.wait()
+    fields[i] = voxelize(mesh, grid, 2).values.tobytes()
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+finally:
+    sys.setswitchinterval(interval)
+reference = voxelize(mesh, grid, 2).values.tobytes()
+print(json.dumps({"before": before,
+                  "ndimage_loaded": "scipy.ndimage" in sys.modules,
+                  "alive": [t.is_alive() for t in threads],
+                  "equal": [f == reference for f in fields]}))
+""" % SCIPY_LOADED
+
+
+class TestStartupWithoutScipy:
+    """Only generate, sdf and resample load scipy.  Each check runs in a
+    fresh interpreter, because this one has scipy loaded already."""
+
+    @staticmethod
+    def fresh(code: str, *args) -> dict:
+        """Run ``code`` in a new interpreter; its last output line is JSON."""
+        src = str(Path(flowforge.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("module", ["flowforge.cli", "flowforge.config",
+                                        "flowforge.sdf", "flowforge.resample",
+                                        "flowforge.geometry"])
+    def test_import_loads_no_scipy(self, module):
+        assert self.fresh(f"import importlib, json, sys\n"
+                          f"importlib.import_module({module!r})\n"
+                          f"print(json.dumps({SCIPY_LOADED}))") == []
+
+    def test_commands_load_no_scipy(self, pipeline, tmp_path):
+        case = pipeline["cases"] / sorted(read_index(pipeline["cases"]))[0]
+        paths = [str(p) for p in (pipeline["scenes"], pipeline["sdf"], case,
+                                  tmp_path)]
+        loaded = self.fresh(FORGE_WITHOUT_SCIPY,
+                            json.dumps([SMALL_OVERRIDES, *paths]))
+        assert loaded == {name: [0, []] for name in
+                          ("orchestrate", "gate", "report", "validate")}
+
+    def test_first_ndimage_import_under_threads(self):
+        # the threads race on the far-field labelling's first scipy import
+        out = self.fresh(CONCURRENT_VOXELIZE)
+        assert out["before"] == []
+        assert out["ndimage_loaded"]
+        assert out["alive"] == [False] * 4
+        assert out["equal"] == [True] * 4

@@ -190,6 +190,33 @@ simulation_parameters:
         summary = coverage_report(tmp_path, out)
         assert summary["skipped"] == 1 and summary["scenes"] == 1
 
+    def test_half_parsed_scene_leaves_no_rows(self, tmp_path):
+        good, mixed = tmp_path / "good", tmp_path / "mixed"
+        for d in (good, mixed):
+            d.mkdir()
+            self.write_scene(d / "object_0.yaml", "cone", 800.0)
+        # Re and the inlet parse, the object's centre does not
+        bad = mixed / "object_1.yaml"
+        self.write_scene(bad, "torus", 1100.0)
+        bad.write_text(bad.read_text().replace("  pos_x: 500.0\n", ""))
+        tables = []
+        for d in (good, mixed):
+            out = tmp_path / f"report_{d.name}"
+            out.mkdir()
+            summary = coverage_report(d, out)
+            tables.append({p.name: p.read_bytes()
+                           for p in sorted(out.glob("*.csv"))})
+        assert summary["skipped"] == 1 and summary["scenes"] == 1
+        assert summary["families"] == {"cone": 1}
+        assert tables[1] == tables[0]
+
+        # a tree of only such scenes has nothing to report
+        (mixed / "object_0.yaml").unlink()
+        out = tmp_path / "report_alone"
+        out.mkdir()
+        with pytest.raises(ArtifactIOError, match="no parseable"):
+            coverage_report(mixed, out)
+
     def test_byte_identical_regeneration(self, tmp_path):
         for i, (fam, re_v) in enumerate([("cone", 500.0), ("wedge", 2500.0),
                                          ("sphere", 9000.0)]):
