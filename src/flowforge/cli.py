@@ -11,9 +11,9 @@ import argparse
 import contextlib
 import ctypes
 import hashlib
+import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -21,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
-from .config import (ProvenanceRecord, ResolvedConfig, config_hash,
-                     resolve_config, write_provenance)
+from .config import (ResolvedConfig, config_hash, resolve_config,
+                     write_provenance)
 from .diagnostics import coverage_report, stationarity_gate
-from .errors import ArtifactIOError, ForgeError
+from .errors import ArtifactIOError, ForgeError, StateError
 from .fields import (DenseField, GridSpec, export_npy, load_npy,
                      read_field_sidecar, write_field_sidecar)
 from .geometry import build_scene, draw_dimension, export_scene, read_stl
@@ -32,9 +32,8 @@ from .geometry.export import read_scene_yaml, scene_sidecars
 from .orchestrate import (BACKENDS, discover_pairs, materialize_case,
                           plan_lanes, read_index, read_manifest, submit,
                           synthetic_solver)
-from .resample import (FootprintSpec, KernelSpec, ResampleOperator, apply,
-                       build_operator, default_k_for_grid, make_target_grid,
-                       sample_values)
+from .resample import (ResampleOperator, apply, build_operator,
+                       resample_specs, sample_values)
 from .sampling import GeneratorState, freeze_dimension, load_state, save_state
 from .sdf import MeshAccel, voxelize
 from .yamlio import write_yaml
@@ -115,17 +114,16 @@ def _resolve(args) -> ResolvedConfig:
     return resolve_config(getattr(args, "config", None), overrides)
 
 
-def _stage_provenance(cfg: ResolvedConfig, out_dir: Path, count: int,
-                      sobol_index: int | None = None):
-    record = ProvenanceRecord(
-        config_digest=config_hash(cfg),
-        seed=cfg.seed,
-        samples_generated=count,
-        tool_version=__version__,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        sobol_index=sobol_index,
-    )
-    write_provenance(record, out_dir, cfg)
+def _recorded_count(path: Path) -> int:
+    """The ``samples_generated`` of an earlier run's provenance.json; 0 when
+    there is none."""
+    if not path.exists():
+        return 0
+    try:
+        return json.loads(path.read_text(encoding="utf-8")).get(
+            "samples_generated", 0)
+    except (OSError, ValueError, AttributeError) as exc:
+        raise ArtifactIOError(f"cannot reread {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,14 @@ def _cmd_generate(args) -> int:
         skip = cfg.initial_test_repeat if cfg.sampling_mode == "sobol" else 0
         freeze_dimension(state, draw_dimension(cfg.data), skip)
 
+    # generate is the one stage whose count accumulates across runs (it
+    # resumes from generator_state.txt), so a run may not shrink it
     target = cfg.repeat
+    count = max(state.samples_generated, target)
+    previous = _recorded_count(out_dir / "provenance.json")
+    if count < previous:
+        raise StateError(f"counter regression: samples_generated {count} "
+                         f"< previous {previous}")
     made = 0
     while state.samples_generated < target:
         scene = build_scene(cfg, state)
@@ -157,8 +162,8 @@ def _cmd_generate(args) -> int:
                      cfg.data["name_object_out"], cfg, digest)
         save_state(state, state_path)
         made += 1
-    _stage_provenance(cfg, out_dir, state.samples_generated,
-                      state.index if cfg.sampling_mode == "sobol" else None)
+    write_provenance(cfg, out_dir, state.samples_generated,
+                     state.index if cfg.sampling_mode == "sobol" else None)
     print(f"generate: {made} new scene(s), {state.samples_generated} total "
           f"in {out_dir}")
     return 0
@@ -205,7 +210,7 @@ def _cmd_sdf(args) -> int:
             done = list(pool.map(one, stls))
     else:
         done = [one(p) for p in stls]
-    _stage_provenance(cfg, out_dir, len(done))
+    write_provenance(cfg, out_dir, len(done))
     print(f"sdf: wrote {len(done)} field(s) at dx={sdf_policy['dx']} "
           f"into {out_dir}")
     return 0
@@ -236,7 +241,7 @@ def _cmd_orchestrate(args) -> int:
     result = submit(records, plan, backend, out_dir,
                     submit_command=orch["submit_command"],
                     runner=synthetic_solver if backend == "local" else None)
-    _stage_provenance(cfg, out_dir, len(records))
+    write_provenance(cfg, out_dir, len(records))
     print(f"orchestrate[{backend}]: {result.submitted} submitted, "
           f"{result.skipped_completed} already complete, "
           f"{len(result.failed)} failed, "
@@ -262,15 +267,7 @@ def _cmd_resample(args) -> int:
         ini = read_ini_config(args.ini)
         target, kernel, footprint = ini["target"], ini["kernel"], ini["footprint"]
     else:
-        target = make_target_grid(box.mins, box.extents, policy["cells"])
-        k = policy["num_neighbours"] or default_k_for_grid(target.dims)
-        kernel = KernelSpec(kind=policy["kernel"], sharpness=policy["sharpness"],
-                            power=policy["power"], eps=policy["eps"],
-                            eccentricity=tuple(policy["eccentricity"]))
-        if policy["footprint"] == "n_closest":
-            footprint = FootprintSpec("n_closest", k=k)
-        else:
-            footprint = FootprintSpec("radius", radius=policy["radius"])
+        target, kernel, footprint = resample_specs(policy, box.mins, box.extents)
 
     def write_components(stem_path: Path, suffix: str, values: np.ndarray):
         if policy["split_components"] and values.ndim == 4:
@@ -330,7 +327,7 @@ def _cmd_resample(args) -> int:
         done += 1
     if done == 0:
         raise ArtifactIOError(f"no completed case fields under {cases_dir}")
-    _stage_provenance(cfg, out_dir, done)
+    write_provenance(cfg, out_dir, done)
     print(f"resample: {done} case(s) onto {target.dims} in {out_dir}")
     return 0
 
@@ -345,7 +342,7 @@ def _cmd_report(args) -> int:
         roi_x=cfg.roi_x,
         cross_range=(box.y_min, box.y_max),
         re_band=tuple(cfg.sim_param_policy["re_band"]))
-    _stage_provenance(cfg, out_dir, summary["scenes"])
+    write_provenance(cfg, out_dir, summary["scenes"])
     print(f"report: {summary['scenes']} scene(s), {summary['objects']} "
           f"object(s), {summary['skipped']} skipped, tables in {out_dir}")
     return 0
@@ -377,6 +374,14 @@ def _cmd_gate(args) -> int:
     return 0 if report.passed else 1
 
 
+def _number(value) -> float | None:
+    """``value`` as a float; None when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
 def _cmd_validate(args) -> int:
     cfg = _resolve(args)
     digest = config_hash(cfg)
@@ -384,11 +389,19 @@ def _cmd_validate(args) -> int:
     if args.scenes:
         for path in scene_sidecars(args.scenes):
             doc = read_scene_yaml(path)
-            sim = doc.get("simulation_parameters", {})
-            if not sim or float(sim.get("inlet_velocity_x", -1)) <= 0:
-                problems.append(f"{path.name}: nonpositive inlet x-velocity")
+            sim = doc.get("simulation_parameters")
+            if not isinstance(sim, dict):
+                sim = {}    # reported below as no inlet velocity and no Re
+            u_x = _number(sim.get("inlet_velocity_x", -1))
+            re_ = _number(sim.get("Re", -1))
             lo, hi = cfg.sim_param_policy["re_band"]
-            if not (lo <= float(sim.get("Re", -1)) <= hi):
+            if u_x is None:
+                problems.append(f"{path.name}: non-numeric inlet_velocity_x")
+            elif u_x <= 0:
+                problems.append(f"{path.name}: nonpositive inlet x-velocity")
+            if re_ is None:
+                problems.append(f"{path.name}: non-numeric Re")
+            elif not (lo <= re_ <= hi):
                 problems.append(f"{path.name}: Re outside policy band")
             for geom in doc.get("geometries", []):
                 try:

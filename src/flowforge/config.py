@@ -17,13 +17,15 @@ import copy
 import hashlib
 import json
 import re
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .atomic import atomic_write
-from .errors import ArtifactIOError, ConfigError
+from .errors import ArtifactIOError, ConfigError, FieldError
 from .orchestrate import BACKENDS
-from .resample import FOOTPRINT_MODES, KERNEL_KINDS
+from .resample import resample_specs
 from .yamlio import YAMLError, loads, read_yaml, write_yaml
 
 FAMILIES = ("cone", "cuboid", "cylinder", "sphere", "torus", "wedge")
@@ -36,10 +38,11 @@ _FAMILY_KEYS = {
     "cone": {"radius_1", "radius_2", "height", "angle", "min_radius_sum", "decimals"},
     "sphere": {"radius", "alpha", "beta", "gamma", "decimals"},
     "torus": {"radius_major", "radius_minor", "decimals"},
-    # x_max / depth are legacy aliases for length / width
-    "wedge": {"length", "width", "height", "opening_angle",
-              "x_max", "depth", "decimals"},
+    "wedge": {"length", "width", "height", "opening_angle", "decimals"},
 }
+
+# legacy wedge keys, renamed to their canonical keys when the config resolves
+_WEDGE_ALIASES = {"x_max": "length", "depth": "width"}
 
 _DEFAULTS: dict = {
     "bounding_box": {
@@ -161,9 +164,16 @@ def _normalize_family_ranges(family: str, block: dict) -> dict:
     """Accept `<param>_min` / `<param>_max` pairs next to [lo, hi] records.
 
     The classic cone block uses one radius range for both radii and names
-    the sweep `angle_min_deg` / `angle_max_deg`.  A key that is itself one of
-    the family's keys (the wedge's `x_max` alias) is kept whole.
+    the sweep `angle_min_deg` / `angle_max_deg`.  The wedge's legacy
+    `x_max` / `depth` become `length` / `width`: a set alias wins over the
+    canonical key of the same block, a null one is ignored.
     """
+    if family == "wedge":
+        block = dict(block)
+        for alias, key in _WEDGE_ALIASES.items():
+            value = block.pop(alias, None)
+            if value is not None:
+                block[key] = value
     out = {}
     pairs: dict[str, dict] = {}
     for key, value in block.items():
@@ -386,9 +396,15 @@ def parse_override(item: str) -> tuple[list[str], object]:
 
 
 def _translate_override(parts: list[str], value):
-    """Map classic-layout override paths onto the canonical schema."""
+    """Map classic-layout override paths onto the canonical schema; a null
+    wedge alias maps to no path at all."""
     if parts == ["use_sobol"]:
         return ["sampling_mode"], ("sobol" if value else "uniform")
+    if parts[:2] == ["shapes", "wedge"] and len(parts) == 3 \
+            and parts[2] in _WEDGE_ALIASES:
+        if value is None:
+            return [], None
+        return ["shapes", "wedge", _WEDGE_ALIASES[parts[2]]], value
     if parts[0] == "simulation_parameters" and len(parts) >= 2:
         rest = parts[1:]
         if rest[0] == "inlet_velocity" and len(rest) == 2:
@@ -530,7 +546,8 @@ def _validate(data: dict):
     sdf = data["sdf_policy"]
     dx = sdf["dx"]
     _require(isinstance(dx, int) and dx >= 1, "sdf_policy.dx: must be a positive integer")
-    ext_x, ext_y, ext_z = BoundingBox(**box).extents
+    bbox = BoundingBox(**box)
+    ext_x, ext_y, ext_z = bbox.extents
     for name, ext in (("x", ext_x), ("y", ext_y), ("z", ext_z)):
         _require(abs(ext / dx - round(ext / dx)) == 0,
                  f"sdf_policy.dx: {dx} does not divide the domain {name}-extent {ext:g}")
@@ -540,22 +557,13 @@ def _validate(data: dict):
              "sdf_policy.aniso: expected two positive scale factors")
 
     res = data["resample_policy"]
-    _require(res["kernel"] in KERNEL_KINDS,
-             "resample_policy.kernel: unknown kernel")
-    _require(res["footprint"] in FOOTPRINT_MODES,
-             "resample_policy.footprint: unknown footprint mode")
-    if res["num_neighbours"] is not None:
-        _require(isinstance(res["num_neighbours"], int) and res["num_neighbours"] >= 1,
-                 "resample_policy.num_neighbours: must be a positive integer")
-    if res["radius"] is not None:
-        _require(res["radius"] > 0, "resample_policy.radius: must be positive")
-    _require(res["sharpness"] > 0, "resample_policy.sharpness: must be positive")
-    _require(res["power"] > 0, "resample_policy.power: must be positive")
-    _require(len(res["eccentricity"]) == 3 and all(e > 0 for e in res["eccentricity"]),
-             "resample_policy.eccentricity: expected three positive ratios")
     _require(len(res["cells"]) == 3
              and all(isinstance(c, int) and c >= 1 for c in res["cells"]),
              "resample_policy.cells: expected three positive integers")
+    try:
+        resample_specs(res, bbox.mins, bbox.extents)
+    except FieldError as exc:
+        raise ConfigError(f"resample_policy: {exc}") from exc
 
     orc = data["orchestration_policy"]
     _require(isinstance(orc["lanes"], int) and orc["lanes"] >= 1,
@@ -592,9 +600,9 @@ def resolve_config(base_file=None, override_list: list[str] | None = None,
     merged = _merge(_DEFAULTS, _normalize_legacy(user))
 
     for item in override_list or []:
-        parts, value = parse_override(item)
-        parts, value = _translate_override(parts, value)
-        _apply_override(merged, parts, value, ".".join(parts))
+        parts, value = _translate_override(*parse_override(item))
+        if parts:
+            _apply_override(merged, parts, value, ".".join(parts))
 
     merged = _resolve_interpolations(merged)
 
@@ -617,94 +625,31 @@ def config_hash(cfg: ResolvedConfig) -> str:
     return hashlib.sha256(canonical_bytes(cfg.data)).hexdigest()
 
 
-def write_frozen_config(cfg: ResolvedConfig, path) -> Path:
-    """Write a snapshot that resolves back to an identical config."""
-    return write_yaml(path, cfg.data)
+def write_provenance(cfg: ResolvedConfig, out_dir, count: int,
+                     sobol_index: int | None = None) -> Path:
+    """Record what reproduces a stage's run in ``out_dir``; atomic replace.
 
-
-# ---------------------------------------------------------------------------
-# Provenance
-# ---------------------------------------------------------------------------
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
-
-
-@dataclass
-class ProvenanceRecord:
-    """What is needed to reproduce a run: config digest, seed, counters."""
-
-    config_digest: str
-    seed: int
-    samples_generated: int
-    tool_version: str
-    timestamp: str
-    sobol_index: int | None = None
-
-    def __post_init__(self):
-        if not _HEX64_RE.match(self.config_digest):
-            raise ConfigError(
-                "config_digest must be 64 lowercase hex characters")
-        if self.samples_generated < 0:
-            raise ConfigError("samples_generated must be nonnegative")
-
-    def to_dict(self) -> dict:
-        out = {
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "samples_generated": self.samples_generated,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-        if self.sobol_index is not None:
-            out["sobol_index"] = self.sobol_index
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProvenanceRecord":
-        return cls(
-            config_digest=data["config_digest"],
-            seed=data["seed"],
-            samples_generated=data["samples_generated"],
-            tool_version=data["tool_version"],
-            timestamp=data["timestamp"],
-            sobol_index=data.get("sobol_index"),
-        )
-
-
-def write_provenance(record: ProvenanceRecord, out_dir,
-                     cfg: ResolvedConfig | None = None) -> Path:
-    """Emit provenance.json (plus a frozen config copy); atomic replace.
-
-    The accepted-sample counter may only grow across rewrites of the same
-    provenance file.
+    ``provenance.json`` holds the config digest, the seed, the run's item
+    count (``samples_generated``), the tool version, a UTC timestamp and,
+    when given, the next Sobol ordinal.  ``config_frozen.yaml`` is a
+    snapshot that resolves back to an identical config.
     """
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         raise ArtifactIOError(f"provenance directory does not exist: {out_dir}")
+    record = {
+        "config_digest": config_hash(cfg),
+        "seed": cfg.seed,
+        "samples_generated": count,
+        "tool_version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    if sobol_index is not None:
+        record["sobol_index"] = sobol_index
     target = out_dir / "provenance.json"
-
-    if target.exists():
-        try:
-            previous = json.loads(target.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ArtifactIOError(f"cannot reread {target}: {exc}") from exc
-        if previous.get("samples_generated", 0) > record.samples_generated:
-            raise ConfigError(
-                "counter regression: samples_generated "
-                f"{record.samples_generated} < previous "
-                f"{previous['samples_generated']}")
-
-    text = json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
     try:
-        atomic_write(target, text)
-        if cfg is not None:
-            write_frozen_config(cfg, out_dir / "config_frozen.yaml")
+        atomic_write(target, json.dumps(record, sort_keys=True, indent=2) + "\n")
+        write_yaml(out_dir / "config_frozen.yaml", cfg.data)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write provenance at {target}: {exc}") from exc
     return target
-
-
-def read_provenance(out_dir) -> ProvenanceRecord:
-    path = Path(out_dir) / "provenance.json"
-    if not path.exists():
-        raise ArtifactIOError(f"provenance file not found: {path}")
-    return ProvenanceRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))

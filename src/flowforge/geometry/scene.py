@@ -107,21 +107,8 @@ def pick_family(weights: dict, u: float) -> str:
     return names[-1]
 
 
-def _effective_ranges(family: str, ranges: dict) -> dict:
-    """Apply legacy wedge aliases: x_max -> length, depth -> width."""
-    if family != "wedge":
-        return ranges
-    eff = dict(ranges)
-    if "x_max" in eff and eff["x_max"] is not None:
-        eff["length"] = eff["x_max"]
-    if "depth" in eff and eff["depth"] is not None:
-        eff["width"] = eff["depth"]
-    return eff
-
-
 def check_ranges_satisfiable(family: str, ranges: dict):
     """Reject configurations whose constraints no draw can ever satisfy."""
-    ranges = _effective_ranges(family, ranges)
     if family == "cone":
         min_sum = ranges.get("min_radius_sum", 0.0)
         if ranges["radius_1"][1] + ranges["radius_2"][1] < min_sum:
@@ -145,7 +132,6 @@ def sample_shape(family: str, ranges: dict, draw: np.ndarray,
     Returns None when a family-specific constraint rejects the draw (the
     caller advances the sequence ordinal).
     """
-    ranges = _effective_ranges(family, ranges)
     check_ranges_satisfiable(family, ranges)
     decimals = int(ranges.get("decimals", decimals))
 

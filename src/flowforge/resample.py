@@ -72,8 +72,8 @@ class KernelSpec:
             raise FieldError(f"unknown kernel kind {self.kind!r}")
         if self.sharpness <= 0 or self.power <= 0:
             raise FieldError("kernel sharpness and power must be positive")
-        if any(e <= 0 for e in self.eccentricity):
-            raise FieldError("eccentricity components must be positive")
+        if len(self.eccentricity) != 3 or any(e <= 0 for e in self.eccentricity):
+            raise FieldError("eccentricity: expected three positive ratios")
 
 
 @dataclass(frozen=True)
@@ -420,6 +420,30 @@ def make_target_grid(origin, extent, cells) -> GridSpec:
     spacing = tuple(e / c for e, c in zip(extent, cells))
     dims = tuple(c + 1 for c in cells)
     return GridSpec(origin=tuple(origin), spacing=spacing, dims=dims)
+
+
+def resample_specs(policy: dict, origin, extent):
+    """The target grid, kernel and footprint that a ``resample_policy``
+    block names over the box at ``origin`` with ``extent``.
+
+    Raises FieldError on every value they reject, and on a nonpositive
+    ``num_neighbours`` or ``radius`` even where the footprint ignores it.
+    """
+    target = make_target_grid(origin, extent, policy["cells"])
+    kernel = KernelSpec(kind=policy["kernel"], sharpness=policy["sharpness"],
+                        power=policy["power"], eps=policy["eps"],
+                        eccentricity=tuple(policy["eccentricity"]))
+    k, radius = policy["num_neighbours"], policy["radius"]
+    if k is not None and not (isinstance(k, int) and k >= 1):
+        raise FieldError("num_neighbours: must be a positive integer")
+    if radius is not None and not radius > 0:
+        raise FieldError("radius: must be positive")
+    if policy["footprint"] == "radius":
+        footprint = FootprintSpec("radius", radius=radius)
+    else:
+        footprint = FootprintSpec(policy["footprint"],
+                                  k=k or default_k_for_grid(target.dims))
+    return target, kernel, footprint
 
 
 def sample_values(field: DenseField) -> np.ndarray:

@@ -67,6 +67,18 @@ class TestGenerate:
         doc = json.loads((out / "provenance.json").read_text())
         assert doc["samples_generated"] == 3
 
+    def test_shrinking_count_rejected(self, tmp_path, capsys):
+        # without its state file a rerun would restart the count at 0
+        out = tmp_path / "scenes"
+        overrides = [o for o in SMALL_OVERRIDES if not o.startswith("repeat")]
+        assert run(["generate", "repeat=3", *overrides, "--out", out]) == 0
+        (out / "generator_state.txt").unlink()
+        capsys.readouterr()
+        assert run(["generate", "repeat=1", *overrides, "--out", out]) == 1
+        assert "counter regression" in capsys.readouterr().err
+        doc = json.loads((out / "provenance.json").read_text())
+        assert doc["samples_generated"] == 3
+
 
 class TestSdf:
     def test_invalid_dx_exits_1(self, tmp_path):
@@ -109,6 +121,24 @@ class TestOrchestrate:
         index = yaml.safe_load((pipeline["cases"] / "index.yaml").read_text())
         assert len(index) == 2
         assert all(e["status"] == "completed" for e in index.values())
+
+    def test_chunked_runs_into_one_out(self, tmp_path):
+        # each chunk's provenance.json records that chunk's run
+        scenes, sdf, cases = (tmp_path / n for n in ("scenes", "sdf", "cases"))
+        overrides = ["repeat=4", *(o for o in SMALL_OVERRIDES
+                                   if not o.startswith("repeat"))]
+        assert run(["generate", *overrides, "--out", scenes]) == 0
+        assert run(["sdf", *overrides, "--in", scenes, "--out", sdf,
+                    "--jobs", 1]) == 0
+        for start, end in ((0, 3), (3, 4)):
+            assert run(["orchestrate", *overrides, "--scenes", scenes,
+                        "--sdf", sdf, "--out", cases, "--backend", "local",
+                        "--start", start, "--end", end]) == 0
+        index = read_index(cases)
+        assert len(index) == 4
+        assert all(e["status"] == "completed" for e in index.values())
+        doc = json.loads((cases / "provenance.json").read_text())
+        assert doc["samples_generated"] == 1
 
 
 class TestResampleStage:
@@ -339,6 +369,32 @@ class TestValidate:
         assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 1
         err = capsys.readouterr().err
         assert "validate: object_1.yaml: geometry without a numeric pos_x" in err
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("Re", "high", "non-numeric Re"),
+        ("inlet_velocity_x", "fast", "non-numeric inlet_velocity_x"),
+        (None, "none", "nonpositive inlet x-velocity"),
+    ])
+    def test_non_numeric_sim_parameter_is_a_problem(self, pipeline, tmp_path,
+                                                    capsys, key, value,
+                                                    problem):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(pipeline["scenes"], scenes)
+        path = scenes / "object_1.yaml"
+        doc = yaml.safe_load(path.read_text())
+        if key is None:     # the whole block is not a mapping
+            doc["simulation_parameters"] = value
+        else:
+            doc["simulation_parameters"][key] = value
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 1
+        err = capsys.readouterr().err
+        assert f"validate: object_1.yaml: {problem}" in err
+
+    def test_resample_policy_checked(self, capsys):
+        # the resample stage rejects a radius footprint without a radius
+        assert run(["validate", "resample_policy.footprint=radius"]) == 1
+        assert "resample_policy: radius footprint" in capsys.readouterr().err
 
 
 class TestMallocArena:

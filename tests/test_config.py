@@ -5,10 +5,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowforge.config import (ProvenanceRecord, canonical_bytes, config_hash,
-                              read_provenance, resolve_config,
-                              write_frozen_config, write_provenance)
-from flowforge.errors import ConfigError
+from flowforge import __version__
+from flowforge.config import (canonical_bytes, config_hash, resolve_config,
+                              write_provenance)
+from flowforge.errors import ArtifactIOError, ConfigError
 
 
 class TestResolve:
@@ -60,10 +60,54 @@ class TestResolve:
         from_file = resolve_config(path)
         from_override = resolve_config(
             override_list=["shapes.wedge.x_max=[20,21]"])
-        assert from_file.data["shapes"]["wedge"]["x_max"] == [20, 21]
-        assert (from_file.data["shapes"]["wedge"]
-                == from_override.data["shapes"]["wedge"])
-        assert config_hash(from_file) == config_hash(from_override)
+        canonical = resolve_config(
+            override_list=["shapes.wedge.length=[20,21]"])
+        wedge = from_file.data["shapes"]["wedge"]
+        assert wedge["length"] == [20, 21] and "x_max" not in wedge
+        assert wedge == from_override.data["shapes"]["wedge"]
+        assert (config_hash(from_file) == config_hash(from_override)
+                == config_hash(canonical))
+
+    def test_wedge_alias_precedence(self, tmp_path):
+        # within one file a set alias wins and a null alias is ignored
+        path = tmp_path / "c.yaml"
+        path.write_text("shapes:\n  wedge:\n    length: [20, 21]\n"
+                        "    x_max: [30, 31]\n    width: [40, 41]\n"
+                        "    depth: null\n")
+        wedge = resolve_config(path).data["shapes"]["wedge"]
+        assert wedge["length"] == [30, 31] and wedge["width"] == [40, 41]
+        assert "x_max" not in wedge and "depth" not in wedge
+        # among overrides the last one wins; a null alias changes nothing
+        wedge = resolve_config(override_list=[
+            "shapes.wedge.depth=[50,51]", "shapes.wedge.width=[60,61]",
+            "shapes.wedge.x_max=null"]).data["shapes"]["wedge"]
+        assert wedge["width"] == [60, 61]
+        assert wedge["length"] == resolve_config().data["shapes"]["wedge"][
+            "length"]
+
+    def test_resample_policy_checked_once(self):
+        # the footprint the resample stage would reject fails at resolve time
+        with pytest.raises(ConfigError, match="resample_policy: radius footprint"):
+            resolve_config(override_list=["resample_policy.footprint=radius"])
+        cfg = resolve_config(override_list=["resample_policy.footprint=radius",
+                                            "resample_policy.radius=40"])
+        assert cfg.resample_policy["radius"] == 40
+
+    @pytest.mark.parametrize("override, message", [
+        ("resample_policy.kernel=cubic", "unknown kernel"),
+        ("resample_policy.footprint=ball", "unknown footprint"),
+        ("resample_policy.num_neighbours=0", "num_neighbours"),
+        ("resample_policy.num_neighbours=2.5", "num_neighbours"),
+        ("resample_policy.radius=-1", "radius"),
+        ("resample_policy.sharpness=0", "sharpness"),
+        ("resample_policy.power=-2", "power"),
+        ("resample_policy.eccentricity=[1,1]", "eccentricity"),
+        ("resample_policy.eccentricity=[1,0,1]", "eccentricity"),
+        ("resample_policy.cells=[127,31]", "cells"),
+    ])
+    def test_resample_policy_values_rejected(self, override, message):
+        with pytest.raises(ConfigError, match=f"resample_policy.*{message}"):
+            resolve_config(override_list=[override])
 
     def test_parse_failure_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -231,45 +275,53 @@ class TestFrozenSnapshot:
     def test_snapshot_round_trip(self, tmp_path):
         cfg = resolve_config(base_dict={"seed": 4, "repeat": 11,
                                         "sampling_mode": "sobol"})
-        path = tmp_path / "frozen.yaml"
-        write_frozen_config(cfg, path)
-        again = resolve_config(path)
+        write_provenance(cfg, tmp_path, 0)
+        again = resolve_config(tmp_path / "config_frozen.yaml")
         assert again.data == cfg.data
         assert config_hash(again) == config_hash(cfg)
 
 
 class TestProvenance:
-    def make_record(self, samples=3):
-        cfg = resolve_config()
-        return ProvenanceRecord(config_digest=config_hash(cfg), seed=1,
-                                samples_generated=samples,
-                                tool_version="0.1.0",
-                                timestamp="2026-01-01T00:00:00Z",
-                                sobol_index=17)
+    def read(self, out_dir):
+        return json.loads((out_dir / "provenance.json").read_text())
 
     def test_round_trip(self, tmp_path):
-        record = self.make_record()
-        write_provenance(record, tmp_path, resolve_config())
-        assert (tmp_path / "provenance.json").exists()
+        cfg = resolve_config(base_dict={"seed": 1})
+        write_provenance(cfg, tmp_path, 3, sobol_index=17)
+        doc = self.read(tmp_path)
+        assert doc.pop("timestamp").endswith("Z")
+        assert doc == {"config_digest": config_hash(cfg), "seed": 1,
+                       "samples_generated": 3, "tool_version": __version__,
+                       "sobol_index": 17}
         assert (tmp_path / "config_frozen.yaml").exists()
-        assert read_provenance(tmp_path) == record
+
+    def test_no_sobol_index_unless_given(self, tmp_path):
+        write_provenance(resolve_config(), tmp_path, 3)
+        assert "sobol_index" not in self.read(tmp_path)
 
     def test_sorted_keys_utf8(self, tmp_path):
-        write_provenance(self.make_record(), tmp_path)
-        doc = json.loads((tmp_path / "provenance.json").read_text())
+        write_provenance(resolve_config(), tmp_path, 3, sobol_index=17)
+        text = (tmp_path / "provenance.json").read_text()
+        doc = json.loads(text)
         assert list(doc) == sorted(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_counter_grows(self, tmp_path):
-        write_provenance(self.make_record(samples=3), tmp_path)
-        write_provenance(self.make_record(samples=5), tmp_path)
-        assert read_provenance(tmp_path).samples_generated == 5
+        write_provenance(resolve_config(), tmp_path, 3)
+        write_provenance(resolve_config(), tmp_path, 5)
+        assert self.read(tmp_path)["samples_generated"] == 5
 
-    def test_counter_regression_rejected(self, tmp_path):
-        write_provenance(self.make_record(samples=5), tmp_path)
-        with pytest.raises(ConfigError, match="counter regression"):
-            write_provenance(self.make_record(samples=2), tmp_path)
+    def test_records_the_last_run(self, tmp_path):
+        # only generate compares its count with an earlier run's
+        write_provenance(resolve_config(), tmp_path, 5)
+        write_provenance(resolve_config(), tmp_path, 2)
+        assert self.read(tmp_path)["samples_generated"] == 2
 
-    def test_digest_shape_enforced(self):
-        with pytest.raises(ConfigError, match="64 lowercase hex"):
-            ProvenanceRecord(config_digest="abc", seed=0, samples_generated=0,
-                             tool_version="x", timestamp="t")
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(ArtifactIOError, match="does not exist"):
+            write_provenance(resolve_config(), tmp_path / "nope", 0)
+
+    def test_failed_write(self, tmp_path):
+        (tmp_path / "provenance.json").mkdir()
+        with pytest.raises(ArtifactIOError, match="cannot write provenance"):
+            write_provenance(resolve_config(), tmp_path, 0)

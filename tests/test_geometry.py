@@ -243,12 +243,18 @@ class TestSampleShape:
                                    "radius_minor": [50, 60]}, np.zeros(2))
 
     def test_wedge_aliases(self):
-        ranges = {"length": [10, 200], "width": [30, 200],
-                  "height": [5, 200], "opening_angle": [10, 80],
-                  "x_max": [20, 21], "depth": [40, 41]}
+        # the config resolves x_max / depth to length / width, so the
+        # aliased and the canonical config draw the same wedge
+        aliased = resolve_config(override_list=[
+            "shapes.wedge.x_max=[20,21]", "shapes.wedge.depth=[40,41]"])
+        canonical = resolve_config(override_list=[
+            "shapes.wedge.length=[20,21]", "shapes.wedge.width=[40,41]"])
+        ranges = aliased.data["shapes"]["wedge"]
+        assert "x_max" not in ranges and "depth" not in ranges
+        assert config_hash(aliased) == config_hash(canonical)
         params = sample_shape("wedge", ranges, np.zeros(4))
-        assert params["length"] == 20.0      # x_max alias wins
-        assert params["width"] == 40.0       # depth alias wins
+        assert params["length"] == 20.0
+        assert params["width"] == 40.0
 
 
 class TestPose:
