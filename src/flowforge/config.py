@@ -30,8 +30,8 @@ from .yamlio import YAMLError, loads, read_yaml, write_yaml
 
 FAMILIES = ("cone", "cuboid", "cylinder", "sphere", "torus", "wedge")
 
-# Parameter-range keys accepted per family.  Optional keys may be null
-# (sphere sector angles default to "absent": full spheres).
+# Parameter-range keys accepted per family.  Only the sphere sector angles
+# may be null (absent: full spheres).
 _FAMILY_KEYS = {
     "cuboid": {"height", "width", "thickness", "decimals"},
     "cylinder": {"radius", "height", "angle", "decimals"},
@@ -40,6 +40,8 @@ _FAMILY_KEYS = {
     "torus": {"radius_major", "radius_minor", "decimals"},
     "wedge": {"length", "width", "height", "opening_angle", "decimals"},
 }
+
+_SECTOR_KEYS = ("alpha", "beta", "gamma")
 
 # legacy wedge keys, renamed to their canonical keys when the config resolves
 _WEDGE_ALIASES = {"x_max": "length", "depth": "width"}
@@ -138,9 +140,6 @@ _DEFAULTS: dict = {
         "timesteps_to_average": 1000,
     },
 }
-
-# Nodes whose children are free-form (validated separately, not by skeleton).
-_FREE_NODES = {"shape_mix", "shapes"}
 
 _INTERP_RE = re.compile(r"^\$\{([A-Za-z0-9_.]+)\}$")
 
@@ -254,12 +253,6 @@ def _normalize_legacy(user: dict) -> dict:
             policy[_LEGACY_SIM_KEYS[key]] = value
         user["sim_param_policy"] = policy
 
-    if isinstance(user.get("shapes"), dict):
-        user["shapes"] = {
-            fam: (_normalize_family_ranges(fam, block)
-                  if isinstance(block, dict) else block)
-            for fam, block in user["shapes"].items()
-        }
     return user
 
 
@@ -351,26 +344,12 @@ def _merge(base: dict, user: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else str(key)
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
-        if key in _FREE_NODES:
+        if key == "shape_mix":  # free-form: validated by _validate
             if not isinstance(value, dict):
                 raise ConfigError(f"{here}: expected a mapping")
-            if key == "shape_mix":
-                out[key] = dict(value)
-            else:  # shapes: merge per family over family defaults
-                merged = copy.deepcopy(base[key])
-                for fam, ranges in value.items():
-                    if fam not in FAMILIES:
-                        raise ConfigError(f"{here}.{fam}: unknown shape family")
-                    if not isinstance(ranges, dict):
-                        raise ConfigError(f"{here}.{fam}: expected a mapping")
-                    fam_out = dict(merged.get(fam, {}))
-                    for rkey, rval in ranges.items():
-                        if rkey not in _FAMILY_KEYS[fam]:
-                            raise ConfigError(
-                                f"{here}.{fam}.{rkey}: unknown parameter key")
-                        fam_out[rkey] = copy.deepcopy(rval)
-                    merged[fam] = fam_out
-                out[key] = merged
+            out[key] = dict(value)
+        elif key == "shapes":
+            out[key] = _merge_shapes(base[key], value, here)
         elif isinstance(base[key], dict) and base[key] is not None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{here}: expected a mapping")
@@ -378,6 +357,28 @@ def _merge(base: dict, user: dict, path: str = "") -> dict:
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _merge_shapes(base: dict, user, here: str) -> dict:
+    """``base`` with ``user``'s shape blocks merged in per family: legacy
+    keys renamed, every key checked against ``_FAMILY_KEYS``, the family's
+    other ranges kept.  A file's ``shapes`` block and a mapping-valued
+    ``shapes`` or ``shapes.<family>`` override both come through here."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{here}: expected a mapping")
+    merged = copy.deepcopy(base)
+    for fam, ranges in user.items():
+        if fam not in FAMILIES:
+            raise ConfigError(f"{here}.{fam}: unknown shape family")
+        if not isinstance(ranges, dict):
+            raise ConfigError(f"{here}.{fam}: expected a mapping")
+        fam_out = dict(merged.get(fam, {}))
+        for rkey, rval in _normalize_family_ranges(fam, ranges).items():
+            if rkey not in _FAMILY_KEYS[fam]:
+                raise ConfigError(f"{here}.{fam}.{rkey}: unknown parameter key")
+            fam_out[rkey] = copy.deepcopy(rval)
+        merged[fam] = fam_out
+    return merged
 
 
 def parse_override(item: str) -> tuple[list[str], object]:
@@ -416,6 +417,10 @@ def _translate_override(parts: list[str], value):
 
 
 def _apply_override(tree: dict, parts: list[str], value, dotted: str):
+    if parts[0] == "shapes" and len(parts) <= 2:
+        user = value if len(parts) == 1 else {parts[1]: value}
+        tree["shapes"] = _merge_shapes(tree["shapes"], user, "shapes")
+        return
     node = tree
     for i, part in enumerate(parts[:-1]):
         if not isinstance(node, dict) or part not in node:
@@ -475,10 +480,13 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_interval(value) -> bool:
     return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value))
+            and all(map(_is_number, value)))
 
 
 def _validate(data: dict):
@@ -521,10 +529,15 @@ def _validate(data: dict):
 
     for fam, ranges in data["shapes"].items():
         for key, value in ranges.items():
-            if key in ("min_radius_sum", "decimals") or value is None:
-                continue
-            _require(_is_interval(value) and value[0] <= value[1],
-                     f"shapes.{fam}.{key}: expected a nonempty [min, max] interval")
+            here = f"shapes.{fam}.{key}"
+            if key == "decimals":
+                _require(isinstance(value, int) and not isinstance(value, bool),
+                         f"{here}: must be an integer")
+            elif key == "min_radius_sum":
+                _require(_is_number(value), f"{here}: must be a number")
+            elif not (fam == "sphere" and key in _SECTOR_KEYS and value is None):
+                _require(_is_interval(value) and value[0] <= value[1],
+                         f"{here}: expected a nonempty [min, max] interval")
 
     spp = data["sim_param_policy"]
     _require(_is_interval(spp["re_band"]) and 0 < spp["re_band"][0] <= spp["re_band"][1],

@@ -12,16 +12,19 @@ the grid is outside the solid and is written as the band edge directly.
 Triangles are grouped by the leaves of a median-split partition.  A cheap
 first pass gives every block voxel an upper bound on its distance (to one
 on-surface point per nearby leaf); the band pass then admits to each leaf
-only the voxels of its dilated box whose leaf-box lower bound is within the
-band, below the current distance and not above that upper bound.  Inside a
-leaf, each (voxel, triangle) pair has its own lower bound, the larger of the
-distances to the triangle's plane and to its bounding ball, and only the
-pairs whose bound is within the smallest of those three limits, widened by
-the triangle's rounding slack, reach the exact kernel.  Each band voxel
-keeps its winning triangle and closest point, and the signs are taken in one
-pass after the scan.  Far voxels get their sign from one exact query per
-connected far-field component of the block and are clamped to the band
-edge.
+only the voxels of its dilated box whose lower bound is within the band,
+below the current distance and not above that upper bound.  One lower
+bound serves leaves and pairs alike: the distance to a slab-and-disk hull,
+sqrt(max(0, |h| - half)^2 + max(0, rho - radius)^2) for a point at height h
+over a plane and in-plane offset rho from an axis.  A leaf's hull is its
+mean plane with the half-thickness and radius of its corners, taken
+together with its box; a triangle's is its own plane (half-thickness 0) and
+the disk about its centroid.  Inside a leaf only the pairs whose bound is
+within the smallest of those three limits, widened by the triangle's
+rounding slack, reach the exact kernel.  Each band voxel keeps its winning
+triangle and closest point, and the signs are taken in one pass after the
+scan.  Far voxels get their sign from one exact query per connected
+far-field component of the block and are clamped to the band edge.
 """
 
 from __future__ import annotations
@@ -199,9 +202,9 @@ class MeshAccel:
         self._normals = np.concatenate(
             [self._vertex_pn[mesh.triangles], self._edge_pn,
              self._face_normals[:, None]], axis=1)
-        # the band pass's per-pair lower bounds: the supporting plane
-        # n.p = offset, and the ball about the centroid through the farthest
-        # corner
+        # the band pass's per-pair slab-and-disk bounds: the supporting plane
+        # n.p = offset, and the disk in it about the centroid through the
+        # farthest corner
         self._offset = np.einsum("tj,tj->t", self._face_normals, self._base)
         self._centroid = corners.mean(axis=1)
         spokes = corners - self._centroid[:, None]
@@ -218,6 +221,7 @@ class MeshAccel:
         self._kernel_err = (16 * np.finfo(np.float64).eps
                             * np.nan_to_num(kappa, nan=np.inf))
         self._build_leaves()
+        self._slabs = self._leaf_slabs(corners, cross)
 
     # -- pseudonormals -------------------------------------------------------
     @staticmethod
@@ -276,6 +280,45 @@ class MeshAccel:
         self._order = order
         self._leaves = leaves
 
+    def _leaf_slabs(self, corners, cross):
+        """Each leaf's flat-patch hull: a list of (centre, frame, half, radius)
+        such that every triangle of the leaf lies within ``half`` of the
+        plane through ``centre`` normal to frame[0], and within ``radius`` of
+        ``centre`` along the in-plane axes frame[1] and frame[2], up to
+        rounding.  frame[0] is the leaf's area-weighted normal, or the x axis
+        when the normals sum to zero; any unit vector gives a valid hull.
+
+        The leaves are consecutive runs of ``_order``, so every per-leaf sum
+        and maximum is one ``reduceat``.
+        """
+        counts = np.array([len(idx) for idx, _, _ in self._leaves])
+        starts = np.cumsum(counts) - counts
+        normal = np.add.reduceat(cross[self._order], starts)
+        length = np.sqrt(np.einsum("lj,lj->l", normal, normal))
+        flat = length > np.finfo(np.float64).tiny
+        normal /= np.where(flat, length, 1.0)[:, None]
+        normal[~flat] = (1.0, 0.0, 0.0)
+        # in-plane axes without a cross product or a branch: Duff et al.,
+        # "Building an Orthonormal Basis, Revisited" (JCGT 2017)
+        x, y, z = normal.T
+        sign = np.copysign(1.0, z)
+        a = -1.0 / (sign + z)
+        b = x * y * a
+        frame = np.stack([normal,
+                          np.column_stack([1.0 + sign * x * x * a, sign * b,
+                                           -sign * x]),
+                          np.column_stack([b, sign + y * y * a, -y])], axis=1)
+
+        # every corner, in leaf order, in its leaf's frame
+        points = corners[self._order].reshape(-1, 3)
+        leaf = np.repeat(np.arange(len(counts)), 3 * counts)
+        centre = np.add.reduceat(points, 3 * starts) / (3 * counts[:, None])
+        local = np.einsum("nij,nj->ni", frame[leaf], points - centre[leaf])
+        half = np.maximum.reduceat(np.abs(local[:, 0]), 3 * starts)
+        radius = np.sqrt(np.maximum.reduceat(
+            np.einsum("nj,nj->n", local[:, 1:], local[:, 1:]), 3 * starts))
+        return list(zip(centre, frame, half, radius))
+
     def leaf_groups(self):
         """Triangle-index groups with their bounding boxes (voxelizer hook)."""
         return iter(self._leaves)
@@ -311,10 +354,11 @@ def _leaf_blocks(accel: MeshAccel, band_lu: float, grid: GridSpec):
 
     Returns (block, leaves).  ``block`` holds the grid slices of the
     smallest box of voxels that contains every leaf's box dilated by
-    band_lu; each leaf is (tri_ids, leaf_lo, leaf_hi, sl, coords) with
+    band_lu; each leaf is (tri_ids, leaf_lo, leaf_hi, slab, sl, coords) with
     ``sl`` indexing the block-local arrays and ``coords`` the per-axis
-    sample coordinates of those voxels.  Leaves whose dilated box misses
-    the grid are left out; ``leaves`` is empty when all of them do.
+    sample coordinates of those voxels, and ``slab`` the leaf's hull from
+    ``MeshAccel._leaf_slabs``.  Leaves whose dilated box misses the grid are
+    left out; ``leaves`` is empty when all of them do.
     """
     origin = np.asarray(grid.origin)
     spacing = np.asarray(grid.spacing)
@@ -337,7 +381,7 @@ def _leaf_blocks(accel: MeshAccel, band_lu: float, grid: GridSpec):
         sl = tuple(slice(first[i, a] - start[a], last[i, a] + 1 - start[a])
                    for a in range(3))
         coords = [axes[a][first[i, a]:last[i, a] + 1] for a in range(3)]
-        leaves.append((*groups[i], sl, coords))
+        leaves.append((*groups[i], accel._slabs[i], sl, coords))
     return block, leaves
 
 
@@ -347,16 +391,77 @@ def _block_norm(offsets) -> np.ndarray:
     return np.sqrt(ox[:, None, None] + oy[None, :, None] + oz[None, None, :])
 
 
+# Rounding of the slab-and-disk bound, with S the coordinate scale (every
+# |coordinate| <= S) and u = eps/2.  Each offset component, height,
+# half-thickness and radius is computed to within a few u S, except that a
+# triangle's unit normal points off by up to about u sqrt(kappa), which moves
+# a pair's height by up to u sqrt(kappa) S: inside the kernel's 16 eps kappa
+# S, which is part of every pair's slack.
+# - Pair level (half = 0): rho^2 = |p - c|^2 - h^2 cancels, and is off by
+#   E <= ~40 u S |p - c|.  Where rho >= |p - c|/sqrt 2, rho is off by at most
+#   E / rho <= ~60 u S.  Elsewhere |h| > |p - c|/sqrt 2: max(0, rho - r)^2
+#   moves by at most E, and the bound, which is at least |h|, by at most
+#   E / |h| <= ~60 u S.  With r and h the bound is within ~80 u S = 40 eps S.
+# - Leaf level (half > 0): the bound is only at least |h| - half, so a voxel
+#   inside the slab weighs rho - r by 1, and E / rho grows without limit as
+#   the leaf narrows (a needle 1e-5 wide: 6e5 eps S).  A leaf therefore
+#   takes rho^2 from two in-plane coordinates, which do not cancel.  Its
+#   frame need not be the exact mean normal: the hull is measured in the
+#   frame as computed, so only the frame's orthonormality, to a few u, adds.
+# Both levels stay below _BOUND_ERR S (measured against long-double
+# distances: under 2 eps S on well-shaped triangles).  The kernel's distance
+# is that of a point on the triangle up to a few u S, so a pair or leaf whose
+# bound exceeds a limit by more than _BOUND_ERR S plus the kernel's error
+# cannot beat that limit.
+_BOUND_ERR = 64 * np.finfo(np.float64).eps
+
+
+def _slab_disk(h, rho2, half, radius) -> np.ndarray:
+    """Lower bound on the distance from a point to any point of the slab
+    ``|height| <= half`` and in-plane disk ``rho <= radius``, from the
+    point's height ``h`` and squared in-plane offset ``rho2``:
+    sqrt(max(0, |h| - half)^2 + max(0, rho - radius)^2).  Works in place on
+    both arrays and returns ``h``."""
+    np.abs(h, out=h)
+    h -= half
+    np.maximum(h, 0.0, out=h)
+    h *= h
+    np.sqrt(rho2, out=rho2)
+    rho2 -= radius
+    np.maximum(rho2, 0.0, out=rho2)
+    rho2 *= rho2
+    h += rho2
+    return np.sqrt(h, out=h)
+
+
+def _leaf_bound(slab, coords) -> np.ndarray:
+    """``_slab_disk`` bound on the distance from every voxel of a block, given
+    by its per-axis sample ``coords``, to a leaf with hull ``slab``."""
+    centre, frame, half, radius = slab
+    # the voxels' (height, in-plane, in-plane) coordinates in the leaf's
+    # frame, as three blocks: per-axis offsets times the frame's columns,
+    # summed by broadcasting
+    ox, oy, oz = (np.multiply.outer(frame[:, a], coords[a] - centre[a])
+                  for a in range(3))
+    h, rho2, across = (ox[:, :, None, None] + oy[:, None, :, None]
+                       + oz[:, None, None, :])
+    rho2 *= rho2
+    across *= across
+    rho2 += across
+    return _slab_disk(h, rho2, half, radius)
+
+
 def _pair_bounds(points, centroid, radius, normal, offset) -> np.ndarray:
-    """(K, T) lower bounds on point-triangle distances: the larger of the
-    distance to the triangle's plane and to its bounding ball."""
+    """(K, T) lower bounds on point-triangle distances: the triangle lies in
+    its plane n.p = offset, within ``radius`` of its centroid, so
+    ``_slab_disk`` with half-thickness 0."""
     off = points[:, None, :] - centroid
-    ball = np.sqrt(np.einsum("ktj,ktj->kt", off, off))
-    ball -= radius
-    plane = np.einsum("kj,tj->kt", points, normal)
-    plane -= offset
-    np.abs(plane, out=plane)
-    return np.maximum(plane, ball, out=plane)
+    rho2 = np.einsum("ktj,ktj->kt", off, off)
+    h = np.einsum("kj,tj->kt", points, normal)
+    h -= offset
+    rho2 -= h * h
+    np.maximum(rho2, 0.0, out=rho2)
+    return _slab_disk(h, rho2, 0.0, radius)
 
 
 def _leaf_nearest(accel: MeshAccel, tri_ids: np.ndarray, points: np.ndarray,
@@ -423,21 +528,24 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     the partition's leaves gives each block voxel an upper bound ``ub`` on its
     distance: the distance to one on-surface point (a triangle centroid) of
     every leaf whose dilated box holds it.  The band pass then admits a
-    voxel to a leaf only when the leaf-box lower bound is within the band,
-    below the voxel's current distance and not above ``ub`` (plus a rounding
-    slack).  Each admitted (voxel, triangle) pair gets a lower bound, the
-    larger of its plane distance ``|n.p - n.v0|`` and its bounding-ball
-    distance ``|p - c| - r``; the exact kernel runs only on the pairs whose
-    bound is at most min(current, ub, band edge) plus the triangle's slack,
-    the larger of 1e-9 band_lu and the kernel's error bound 16 eps kappa x
-    coordinate scale.  Both passes run in chunks of at most ``_PAIR_BUDGET``
-    pairs.  A voxel's first minimum in leaf order replaces its distance on a
-    strict improvement, and the winning triangle and closest point give the
-    band voxels their signs in one ``_side`` call after the scan.  A culled
-    leaf or pair can never hold the first minimum, so the result equals the
-    exhaustive leaf-by-leaf scan bit for bit.  Far voxels get their sign
-    from one exact query per connected far-field component of the block and
-    are clamped to the band edge.
+    voxel to a leaf only when its lower bound, the larger of the leaf-box
+    distance and the leaf's slab-and-disk bound less the leaf's slack, is
+    within the band, below the voxel's current distance and not above
+    ``ub`` (plus a rounding slack).  Each admitted (voxel, triangle) pair
+    gets the slab-and-disk bound of the triangle's plane and of the disk
+    about its centroid through its farthest corner; the exact kernel runs
+    only on the pairs whose bound is at most min(current, ub, band edge)
+    plus the triangle's slack: the bound's rounding plus the kernel's error
+    bound, (64 + 16 kappa) eps x coordinate scale, and at least 1e-9
+    band_lu.  A leaf's slack is the largest of its triangles'.  Both passes
+    run in chunks of at most ``_PAIR_BUDGET`` pairs.  A voxel's first
+    minimum in leaf order replaces its distance on a strict improvement, and
+    the winning triangle and closest point give the band voxels their signs
+    in one ``_side`` call after the scan.  A culled leaf or pair can never
+    hold the first minimum, so the result equals the exhaustive leaf-by-leaf
+    scan bit for bit.  Far voxels get their sign from one exact query per
+    connected far-field component of the block and are clamped to the band
+    edge.
     """
     if band_w < 1:
         raise FieldError("narrow-band half-width must be at least 1 voxel")
@@ -462,7 +570,7 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     # upper bound: distance to the leaf's triangle centroid nearest its box
     # centre, minimised over the leaves whose dilated box holds the voxel
     ub = np.full(shape, np.inf)
-    for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
+    for tri_ids, leaf_lo, leaf_hi, _, sl, coords in leaves:
         cand = accel._centroid[tri_ids]
         off = cand - (leaf_lo + leaf_hi) / 2.0
         near = cand[np.argmin(np.einsum("kj,kj->k", off, off))]
@@ -472,19 +580,23 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     ub *= 1.0 + 1e-12
     ub += 1e-9 * band_lu
 
-    # per-pair slack: the bound's rounding, or the kernel's own error at
-    # this coordinate scale where that is larger (slivers)
+    # per-pair slack: the bound's rounding plus the kernel's own error at
+    # this coordinate scale (large on slivers), at least 1e-9 band_lu
     axes = [grid.axis_coords(a)[block[a]] for a in range(3)]
     scale = (np.abs(accel.mesh.corners).max()
              + max(np.abs(ax[[0, -1]]).max() for ax in axes))
-    slack = np.maximum(1e-9 * band_lu, accel._kernel_err * scale)
+    slack = np.maximum(1e-9 * band_lu, (_BOUND_ERR + accel._kernel_err) * scale)
 
     dist = np.full(shape, np.inf, dtype=np.float64)
     win_tri = np.empty(shape, dtype=np.intp)
     win_s, win_t = np.empty(shape), np.empty(shape)
-    for tri_ids, leaf_lo, leaf_hi, sl, coords in leaves:
+    for tri_ids, leaf_lo, leaf_hi, slab, sl, coords in leaves:
         lower = _block_norm([np.maximum(np.maximum(leaf_lo[a] - coords[a], 0.0),
                                         coords[a] - leaf_hi[a]) for a in range(3)])
+        # the leaf's slab-and-disk bound, less its largest per-pair slack
+        flat = _leaf_bound(slab, coords)
+        flat -= slack[tri_ids].max()
+        np.maximum(lower, flat, out=lower)
         current = dist[sl]
         active = (lower <= band_lu) & (lower < current) & (lower <= ub[sl])
         act = np.flatnonzero(active)

@@ -391,6 +391,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"validate: object_1.yaml: {problem}" in err
 
+    @pytest.mark.parametrize("override, problem", [
+        ("shapes.wedge.length=null", "shapes.wedge.length"),
+        ("shapes.wedge={foo_range: [1, 2]}", "shapes.wedge.foo_range"),
+    ])
+    def test_shape_config_problem_exits_1(self, capsys, override, problem):
+        assert run(["validate", override]) == 1
+        assert problem in capsys.readouterr().err
+
+    def test_generate_rejects_null_range(self, tmp_path, capsys):
+        only_wedges = [f"shape_mix.{fam}=0" for fam in
+                       ("cuboid", "cylinder", "sphere", "cone", "torus")]
+        assert run(["generate", "repeat=1", *only_wedges,
+                    "shapes.wedge.length=null", "--out", tmp_path]) == 1
+        assert "shapes.wedge.length" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.stl"))
+
     def test_resample_policy_checked(self, capsys):
         # the resample stage rejects a radius footprint without a radius
         assert run(["validate", "resample_policy.footprint=radius"]) == 1

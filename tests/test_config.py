@@ -85,6 +85,53 @@ class TestResolve:
         assert wedge["length"] == resolve_config().data["shapes"]["wedge"][
             "length"]
 
+    @pytest.mark.parametrize("override, message", [
+        ("shapes.wedge.length=null", "shapes.wedge.length: expected a nonempty"),
+        ("shapes.sphere.radius=null", "shapes.sphere.radius: expected a nonempty"),
+        ("shapes.cone.min_radius_sum=null", "min_radius_sum: must be a number"),
+        ("shapes.cuboid.decimals=null", "decimals: must be an integer"),
+    ])
+    def test_null_shape_range_rejected(self, override, message):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(override_list=[override])
+
+    def test_null_sphere_sector_angles_allowed(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("shapes:\n  sphere:\n    alpha: [-30, 0]\n"
+                        "    beta: null\n")
+        cfg = resolve_config(path, override_list=["shapes.sphere.alpha=null",
+                                                  "shapes.sphere.gamma=null"])
+        sphere = cfg.data["shapes"]["sphere"]
+        assert sphere["alpha"] is sphere["beta"] is sphere["gamma"] is None
+
+    def test_family_override_merges_like_a_file_block(self, tmp_path):
+        # the alias renamed, the family's other defaults kept
+        whole = resolve_config(override_list=["shapes.wedge={x_max: [20, 21]}"])
+        canonical = resolve_config(override_list=["shapes.wedge.length=[20,21]"])
+        assert whole.data["shapes"] == canonical.data["shapes"]
+        assert config_hash(whole) == config_hash(canonical)
+        path = tmp_path / "c.yaml"
+        path.write_text("shapes:\n  wedge:\n    x_max: [20, 21]\n")
+        assert config_hash(resolve_config(path)) == config_hash(whole)
+        # the whole shapes node merges per family too
+        nested = resolve_config(
+            override_list=["shapes={wedge: {x_max: [20, 21]}}"])
+        assert config_hash(nested) == config_hash(whole)
+
+    @pytest.mark.parametrize("override, message", [
+        ("shapes.wedge={foo_range: [1, 2]}",
+         "shapes.wedge.foo_range: unknown parameter key"),
+        ("shapes={wedge: {foo_range: [1, 2]}}",
+         "shapes.wedge.foo_range: unknown parameter key"),
+        ("shapes.wedge={length_min: 1}", "shapes.wedge.length: need both"),
+        ("shapes.helix={radius: [1, 2]}", "shapes.helix: unknown shape family"),
+        ("shapes.wedge=null", "shapes.wedge: expected a mapping"),
+        ("shapes=[1, 2]", "shapes: expected a mapping"),
+    ])
+    def test_family_override_keys_checked(self, override, message):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(override_list=[override])
+
     def test_resample_policy_checked_once(self):
         # the footprint the resample stage would reject fails at resolve time
         with pytest.raises(ConfigError, match="resample_policy: radius footprint"):
