@@ -1,9 +1,10 @@
 """Single hierarchical configuration governing every pipeline stage.
 
 A base YAML file is merged over built-in defaults, ``key.path=value``
-overrides are applied last, ``${dotted.path}`` references are resolved, and
-the result is validated against a strict schema (unknown keys are rejected
-so typos surface immediately -- provenance depends on configs being exact).
+overrides are merged last (each like the file block ``key: {path: value}``),
+``${dotted.path}`` references are resolved, and the result is validated
+against a strict schema (unknown keys are rejected so typos surface
+immediately -- provenance depends on configs being exact).
 
 Hashing uses a canonical serialization: keys sorted at every level, floats
 rendered in shortest round-trip form, no insignificant whitespace.  Two
@@ -24,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from .atomic import atomic_write
 from .errors import ArtifactIOError, ConfigError, FieldError
+from .fields import GridSpec
 from .orchestrate import BACKENDS
 from .resample import resample_specs
 from .yamlio import YAMLError, loads, read_yaml, write_yaml
@@ -147,16 +149,10 @@ _INTERP_RE = re.compile(r"^\$\{([A-Za-z0-9_.]+)\}$")
 # ---------------------------------------------------------------------------
 # Classic-layout compatibility
 # ---------------------------------------------------------------------------
-_LEGACY_SIM_KEYS = {
-    "re_band": "re_band",
-    "magnitude_min": "magnitude_min",
-    "magnitude_max": "magnitude_max",
-    "min_x_component_generator": "min_x_component_generator",
-    "min_x_component_after_scaling": "min_x_component_after_scaling",
-    "periodic_directions": "periodic_axes",
-    "refinement_probability": "refinement_probability",
-    "precision_decimals": "precision_decimals",
-}
+_LEGACY_SIM_KEYS = {"periodic_directions": "periodic_axes", **{key: key for key in (
+    "re_band", "magnitude_min", "magnitude_max", "min_x_component_generator",
+    "min_x_component_after_scaling", "refinement_probability",
+    "precision_decimals")}}
 
 
 def _normalize_family_ranges(family: str, block: dict) -> dict:
@@ -174,22 +170,24 @@ def _normalize_family_ranges(family: str, block: dict) -> dict:
             if value is not None:
                 block[key] = value
     out = {}
-    pairs: dict[str, dict] = {}
+    pairs: dict[str, dict] = {}  # stem -> {bound: (key, value)}
     for key, value in block.items():
         if key in _FAMILY_KEYS.get(family, ()):
             out[key] = value
         elif key in ("angle_min_deg", "angle_max_deg"):
-            pairs.setdefault("angle", {})[key.rsplit("_", 2)[1]] = value
+            pairs.setdefault("angle", {})[key.rsplit("_", 2)[1]] = (key, value)
         elif key.endswith("_min") or key.endswith("_max"):
             stem, bound = key[:-4], key[-3:]
-            pairs.setdefault(stem, {})[bound] = value
+            pairs.setdefault(stem, {})[bound] = (key, value)
         else:
             out[key] = value
     for stem, bounds in pairs.items():
         if set(bounds) != {"min", "max"}:
+            ((lone, _),) = bounds.values()
             raise ConfigError(
-                f"shapes.{family}.{stem}: need both _min and _max")
-        interval = [bounds["min"], bounds["max"]]
+                f"shapes.{family}.{stem}: need both _min and _max, "
+                f"got shapes.{family}.{lone} alone")
+        interval = [bounds["min"][1], bounds["max"][1]]
         if family == "cone" and stem == "radius":
             out.setdefault("radius_1", interval)
             out.setdefault("radius_2", list(interval))
@@ -344,28 +342,25 @@ def _merge(base: dict, user: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else str(key)
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
+        if isinstance(base[key], dict) and not isinstance(value, dict):
+            raise ConfigError(f"{here}: expected a mapping")
         if key == "shape_mix":  # free-form: validated by _validate
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected a mapping")
             out[key] = dict(value)
         elif key == "shapes":
             out[key] = _merge_shapes(base[key], value, here)
-        elif isinstance(base[key], dict) and base[key] is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected a mapping")
+        elif isinstance(base[key], dict):
             out[key] = _merge(base[key], value, here)
+        elif isinstance(value, dict):
+            raise ConfigError(f"{here}: takes a value, not a mapping")
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
-def _merge_shapes(base: dict, user, here: str) -> dict:
+def _merge_shapes(base: dict, user: dict, here: str) -> dict:
     """``base`` with ``user``'s shape blocks merged in per family: legacy
     keys renamed, every key checked against ``_FAMILY_KEYS``, the family's
-    other ranges kept.  A file's ``shapes`` block and a mapping-valued
-    ``shapes`` or ``shapes.<family>`` override both come through here."""
-    if not isinstance(user, dict):
-        raise ConfigError(f"{here}: expected a mapping")
+    other ranges kept."""
     merged = copy.deepcopy(base)
     for fam, ranges in user.items():
         if fam not in FAMILIES:
@@ -394,54 +389,6 @@ def parse_override(item: str) -> tuple[list[str], object]:
     except YAMLError as exc:
         raise ConfigError(f"override {item!r}: unparseable value: {exc}") from exc
     return key.split("."), value
-
-
-def _translate_override(parts: list[str], value):
-    """Map classic-layout override paths onto the canonical schema; a null
-    wedge alias maps to no path at all."""
-    if parts == ["use_sobol"]:
-        return ["sampling_mode"], ("sobol" if value else "uniform")
-    if parts[:2] == ["shapes", "wedge"] and len(parts) == 3 \
-            and parts[2] in _WEDGE_ALIASES:
-        if value is None:
-            return [], None
-        return ["shapes", "wedge", _WEDGE_ALIASES[parts[2]]], value
-    if parts[0] == "simulation_parameters" and len(parts) >= 2:
-        rest = parts[1:]
-        if rest[0] == "inlet_velocity" and len(rest) == 2:
-            rest = rest[1:]
-        if rest[0] in _LEGACY_SIM_KEYS and len(rest) <= 2:
-            return (["sim_param_policy", _LEGACY_SIM_KEYS[rest[0]], *rest[1:]],
-                    value)
-    return parts, value
-
-
-def _apply_override(tree: dict, parts: list[str], value, dotted: str):
-    if parts[0] == "shapes" and len(parts) <= 2:
-        user = value if len(parts) == 1 else {parts[1]: value}
-        tree["shapes"] = _merge_shapes(tree["shapes"], user, "shapes")
-        return
-    node = tree
-    for i, part in enumerate(parts[:-1]):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown override key: {dotted}")
-        node = node[part]
-        # free-form family maps allow new leaves one level down
-        if node is None:
-            raise ConfigError(f"unknown override key: {dotted}")
-    leaf = parts[-1]
-    if not isinstance(node, dict):
-        raise ConfigError(f"unknown override key: {dotted}")
-    parent = ".".join(parts[:-1])
-    if parent == "shape_mix":
-        if leaf not in FAMILIES:
-            raise ConfigError(f"unknown override key: {dotted}")
-    elif parts[0] == "shapes" and len(parts) == 3:
-        if parts[1] not in FAMILIES or leaf not in _FAMILY_KEYS[parts[1]]:
-            raise ConfigError(f"unknown override key: {dotted}")
-    elif leaf not in node:
-        raise ConfigError(f"unknown override key: {dotted}")
-    node[leaf] = value
 
 
 def _resolve_interpolations(tree: dict):
@@ -484,12 +431,63 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item_ok, length=None) -> bool:
+    return (isinstance(value, (list, tuple)) and all(map(item_ok, value))
+            and length in (None, len(value)))
+
+
 def _is_interval(value) -> bool:
-    return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_is_number, value)))
+    return _is_list(value, _is_number, 2)
+
+
+def _lookup(data: dict, dotted: str):
+    for part in dotted.split("."):
+        data = data[part]
+    return data
+
+
+# every integer field, with the least value it allows (None: any integer)
+_INT_FIELDS = {
+    "number_of_objects": 1, "repeat": 1,
+    "number_of_retries_object_creation": 1, "max_scene_restarts": 1,
+    "initial_test_repeat": 0, "seed": None,
+    "pose.position_decimals": None, "pose.dir_vector_decimals": None,
+    "pose.param_decimals": None,
+    "sim_param_policy.precision_decimals": None,
+    "sim_param_policy.rejection_budget": 1,
+    "sdf_policy.dx": 1, "sdf_policy.band_w": 1,
+    "orchestration_policy.lanes": 1, "orchestration_policy.ntasks_per_node": 1,
+    "orchestration_policy.timesteps": 1, "orchestration_policy.comp_interval": 1,
+    "orchestration_policy.timesteps_to_average": 1,
+}
+_INT_KINDS = {None: "an integer", 0: "a nonnegative integer",
+              1: "a positive integer"}
+
+# every non-null float field; checked before any comparison reads it
+_NUMBER_FIELDS = (
+    *(f"bounding_box.{axis}_{end}" for axis in "xyz" for end in ("min", "max")),
+    "min_volume",
+    *(f"sim_param_policy.{key}" for key in (
+        "magnitude_min", "magnitude_max", "min_x_component_generator",
+        "min_x_component_after_scaling", "periodic_probability",
+        "refinement_probability", "tau_stability_cap")),
+    *(f"solver_policy.{key}" for key in ("l_char", "cs", "ma_inlet_max", "ma_max")),
+    *(f"resample_policy.{key}" for key in ("sharpness", "power", "eps")),
+)
 
 
 def _validate(data: dict):
+    for dotted, least in _INT_FIELDS.items():
+        value = _lookup(data, dotted)
+        _require(_is_int(value) and (least is None or value >= least),
+                 f"{dotted}: must be {_INT_KINDS[least]}")
+    for dotted in _NUMBER_FIELDS:
+        _require(_is_number(_lookup(data, dotted)), f"{dotted}: must be a number")
+
     box = data["bounding_box"]
     for axis in ("x", "y", "z"):
         _require(box[f"{axis}_min"] <= box[f"{axis}_max"],
@@ -500,26 +498,19 @@ def _validate(data: dict):
     _require(box["x_min"] <= data["roi_x"][0] and data["roi_x"][1] <= box["x_max"],
              "roi_x: must lie within the domain x-range")
 
-    for key in ("number_of_objects", "repeat",
-                "number_of_retries_object_creation", "max_scene_restarts"):
-        _require(isinstance(data[key], int) and data[key] >= 1,
-                 f"{key}: must be a positive integer")
-    _require(isinstance(data["initial_test_repeat"], int)
-             and data["initial_test_repeat"] >= 0,
-             "initial_test_repeat: must be a nonnegative integer")
-    _require(isinstance(data["seed"], int), "seed: must be an integer")
     _require(data["sampling_mode"] in ("uniform", "sobol"),
              "sampling_mode: must be 'uniform' or 'sobol'")
     _require(data["min_volume"] > 0, "min_volume: must be positive")
-    _require(data["clearance"] is None or data["clearance"] >= 0,
-             "clearance: must be nonnegative")
+    _require(data["clearance"] is None
+             or _is_number(data["clearance"]) and data["clearance"] >= 0,
+             "clearance: must be a nonnegative number")
 
     mix = data["shape_mix"]
     _require(len(mix) > 0, "shape_mix: no families configured")
     for fam, weight in mix.items():
         _require(fam in FAMILIES, f"shape_mix.{fam}: unknown shape family")
-        _require(isinstance(weight, (int, float)) and weight >= 0,
-                 f"shape_mix.{fam}: weight must be >= 0")
+        _require(_is_number(weight) and weight >= 0,
+                 f"shape_mix.{fam}: weight must be a number >= 0")
     _require(any(w > 0 for w in mix.values()),
              "shape_mix: no positive weight")
     for fam, weight in mix.items():
@@ -531,8 +522,7 @@ def _validate(data: dict):
         for key, value in ranges.items():
             here = f"shapes.{fam}.{key}"
             if key == "decimals":
-                _require(isinstance(value, int) and not isinstance(value, bool),
-                         f"{here}: must be an integer")
+                _require(_is_int(value), f"{here}: must be an integer")
             elif key == "min_radius_sum":
                 _require(_is_number(value), f"{here}: must be a number")
             elif not (fam == "sphere" and key in _SECTOR_KEYS and value is None):
@@ -557,32 +547,32 @@ def _validate(data: dict):
     _require(sol["l_char"] > 0, "solver_policy.l_char: must be positive")
 
     sdf = data["sdf_policy"]
-    dx = sdf["dx"]
-    _require(isinstance(dx, int) and dx >= 1, "sdf_policy.dx: must be a positive integer")
-    bbox = BoundingBox(**box)
-    ext_x, ext_y, ext_z = bbox.extents
-    for name, ext in (("x", ext_x), ("y", ext_y), ("z", ext_z)):
-        _require(abs(ext / dx - round(ext / dx)) == 0,
-                 f"sdf_policy.dx: {dx} does not divide the domain {name}-extent {ext:g}")
-    _require(isinstance(sdf["band_w"], int) and sdf["band_w"] >= 1,
-             "sdf_policy.band_w: must be a positive integer")
-    _require(len(sdf["aniso"]) == 2 and all(s > 0 for s in sdf["aniso"]),
+    _require(_is_list(sdf["aniso"], lambda s: _is_number(s) and s > 0, 2),
              "sdf_policy.aniso: expected two positive scale factors")
+    bbox = BoundingBox(**box)
+    try:
+        GridSpec.preset(sdf["dx"], bbox.extents)
+    except FieldError as exc:
+        raise ConfigError(f"sdf_policy: {exc}") from exc
 
     res = data["resample_policy"]
-    _require(len(res["cells"]) == 3
-             and all(isinstance(c, int) and c >= 1 for c in res["cells"]),
+    _require(_is_list(res["cells"], lambda c: _is_int(c) and c >= 1, 3),
              "resample_policy.cells: expected three positive integers")
+    _require(_is_list(res["eccentricity"], _is_number),
+             "resample_policy.eccentricity: expected a list of numbers")
+    _require(res["radius"] is None or _is_number(res["radius"]),
+             "resample_policy.radius: must be a number or null")
     try:
         resample_specs(res, bbox.mins, bbox.extents)
     except FieldError as exc:
         raise ConfigError(f"resample_policy: {exc}") from exc
 
     orc = data["orchestration_policy"]
-    _require(isinstance(orc["lanes"], int) and orc["lanes"] >= 1,
-             "orchestration_policy.lanes: must be a positive integer")
     _require(orc["backend"] in BACKENDS,
              "orchestration_policy.backend: unknown backend")
+    for key in ("modules", "env_setup"):
+        _require(_is_list(orc[key], lambda line: isinstance(line, str)),
+                 f"orchestration_policy.{key}: expected a list of strings")
 
 
 # ---------------------------------------------------------------------------
@@ -594,36 +584,37 @@ def resolve_config(base_file=None, override_list: list[str] | None = None,
 
     ``base_file`` may be omitted to start from built-in defaults;
     ``base_dict`` supports in-memory configs (tests, embedding).
-    Overrides are ``key.path=value`` strings applied last, in order.
+    Overrides are ``key.path=value`` strings merged last, in order.
     """
-    user: dict = {}
+    user = base_dict or {}  # _normalize_legacy copies it
     if base_file is not None:
         path = Path(base_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        loaded = _read_config_yaml(path)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        user = _read_config_yaml(path)
+        if user is None:
+            user = {}
+        if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        user = loaded
-    elif base_dict is not None:
-        user = copy.deepcopy(base_dict)
 
     merged = _merge(_DEFAULTS, _normalize_legacy(user))
 
+    # `a.b=v` merges exactly like the file block `a: {b: v}`, except that a
+    # dotted `shape_mix.<family>=w` sets one weight of the current mix
     for item in override_list or []:
-        parts, value = _translate_override(*parse_override(item))
-        if parts:
-            _apply_override(merged, parts, value, ".".join(parts))
+        parts, value = parse_override(item)
+        for part in reversed(parts):
+            value = {part: value}
+        if parts[0] == "shape_mix" and len(parts) > 1:
+            value["shape_mix"] = {**merged["shape_mix"], **value["shape_mix"]}
+        merged = _merge(merged, _normalize_legacy(value))
 
     merged = _resolve_interpolations(merged)
+    _validate(merged)
 
     # resolve derived defaults so the frozen snapshot is self-contained
     if merged["clearance"] is None:
         merged["clearance"] = 2.0 * merged["sdf_policy"]["dx"]
-
-    _validate(merged)
     return ResolvedConfig(data=merged)
 
 

@@ -434,7 +434,8 @@ def resample_specs(policy: dict, origin, extent):
                         power=policy["power"], eps=policy["eps"],
                         eccentricity=tuple(policy["eccentricity"]))
     k, radius = policy["num_neighbours"], policy["radius"]
-    if k is not None and not (isinstance(k, int) and k >= 1):
+    if k is not None and not (isinstance(k, int) and not isinstance(k, bool)
+                              and k >= 1):
         raise FieldError("num_neighbours: must be a positive integer")
     if radius is not None and not radius > 0:
         raise FieldError("radius: must be positive")

@@ -399,6 +399,23 @@ class TestValidate:
         assert run(["validate", override]) == 1
         assert problem in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, problem", [
+        ("pose=3", "forge validate: pose: expected a mapping"),
+        ("sdf_policy={dx: 16, band_w: 8, aniso: [1, 1], foo: 1}",
+         "forge validate: unknown config key: sdf_policy.foo"),
+        ("clearance.x=1", "forge validate: clearance: takes a value"),
+        ("solver_policy.cs=abc", "forge validate: solver_policy.cs"),
+    ])
+    def test_bad_override_is_a_message(self, capsys, override, problem):
+        assert run(["validate", override]) == 1
+        assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "sdf_policy={dx: 8}", "bounding_box={x_min: 0}",
+        "sim_param_policy.periodic_axes={y: false}"])
+    def test_partial_block_override_merges(self, override):
+        assert run(["validate", override]) == 0
+
     def test_generate_rejects_null_range(self, tmp_path, capsys):
         only_wedges = [f"shape_mix.{fam}=0" for fam in
                        ("cuboid", "cylinder", "sphere", "cone", "torus")]

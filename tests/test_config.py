@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import yaml
@@ -130,6 +131,74 @@ class TestResolve:
     ])
     def test_family_override_keys_checked(self, override, message):
         with pytest.raises(ConfigError, match=message):
+            resolve_config(override_list=[override])
+
+    @pytest.mark.parametrize("override, block, named", [
+        ("sdf_policy={dx: 8}", "sdf_policy: {dx: 8}", None),
+        ("bounding_box={y_max: 256}", "bounding_box: {y_max: 256}", None),
+        ("sim_param_policy.periodic_axes={y: false}",
+         "sim_param_policy: {periodic_axes: {y: false}}", None),
+        ("pose=3", "pose: 3", "pose"),
+        ("clearance={x: 1}", "clearance: {x: 1}", "clearance"),
+        ("sdf_policy={dx: 16, band_w: 8, foo: 1}",
+         "sdf_policy: {dx: 16, band_w: 8, foo: 1}", "sdf_policy.foo"),
+        ("shapes.wedge.x_max=[20,21]", "shapes: {wedge: {x_max: [20, 21]}}",
+         None),
+        ("shapes.cone.radius_min=[1,2]", "shapes: {cone: {radius_min: [1, 2]}}",
+         "shapes.cone.radius_min"),
+        ("simulation_parameters.re_band=[500,5000]",
+         "simulation_parameters: {re_band: [500, 5000]}", None),
+        ("use_sobol=true", "use_sobol: true", None),
+    ])
+    def test_override_merges_like_a_file_block(self, tmp_path, override, block,
+                                               named):
+        # `a.b=v` means the file block `a: {b: v}`: the same config, or the
+        # same error naming the same key
+        path = tmp_path / "c.yaml"
+        path.write_text(block + "\n")
+        if named is None:
+            from_file = config_hash(resolve_config(path))
+            assert from_file == config_hash(
+                resolve_config(override_list=[override]))
+            assert from_file != config_hash(resolve_config())
+            return
+        for source in ({"base_file": path}, {"override_list": [override]}):
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                resolve_config(**source)
+
+    def test_dotted_weight_keeps_the_other_weights(self):
+        default = resolve_config().data["shape_mix"]
+        one = resolve_config(override_list=["shape_mix.cone=2"])
+        assert one.data["shape_mix"] == {**default, "cone": 2}
+        whole = resolve_config(override_list=["shape_mix={cone: 2}"])
+        assert whole.data["shape_mix"] == {"cone": 2}
+
+    @pytest.mark.parametrize("override, message", [
+        ("solver_policy.cs=abc", "solver_policy.cs: must be a number"),
+        ("min_volume=abc", "min_volume: must be a number"),
+        ("sim_param_policy.magnitude_min=abc",
+         "sim_param_policy.magnitude_min: must be a number"),
+        ("bounding_box.x_max=abc", "bounding_box.x_max: must be a number"),
+        ("clearance=abc", "clearance: must be a nonnegative number"),
+        ("sdf_policy.aniso=[a,b]", "sdf_policy.aniso: expected two positive"),
+        ("sdf_policy.dx=true", "sdf_policy.dx: must be a positive integer"),
+        ("pose.position_decimals=abc",
+         "pose.position_decimals: must be an integer"),
+        ("seed=true", "seed: must be an integer"),
+        ("orchestration_policy.lanes=true",
+         "orchestration_policy.lanes: must be a positive integer"),
+        ("orchestration_policy.timesteps=abc",
+         "orchestration_policy.timesteps: must be a positive integer"),
+        ("orchestration_policy.modules=abc",
+         "orchestration_policy.modules: expected a list of strings"),
+        ("orchestration_policy.env_setup=[1]",
+         "orchestration_policy.env_setup: expected a list of strings"),
+        ("resample_policy.radius=abc", "resample_policy.radius: must be a number"),
+        ("resample_policy.num_neighbours=true", "num_neighbours"),
+        ("shape_mix.cone=true", "shape_mix.cone: weight must be a number"),
+    ])
+    def test_value_types_checked(self, override, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             resolve_config(override_list=[override])
 
     def test_resample_policy_checked_once(self):
@@ -290,6 +359,18 @@ class TestHash:
         # writing out a default explicitly must not change the digest
         assert (config_hash(resolve_config())
                 == config_hash(resolve_config(base_dict={"repeat": 100})))
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ([], "be01e908f749a05218f2523ad1a0854bee8d7dfee79826f404a5a5a13647aa68"),
+        (["sdf_policy.dx=4", "seed=11"],
+         "cccaf380831a1cb1e2a77f03f63b1a58e147074368ad8bfbfe5ff9d2fc431958"),
+        (["repeat=40", "seed=11", "sampling_mode=sobol", "sdf_policy.dx=64"],
+         "e7da34fe16f11488de8a631302ae6003b7ff0e778f171a79881bdd9724969476"),
+    ])
+    def test_pinned_digests(self, overrides, digest):
+        # the defaults and the perfbench sdf_dx4 and campaign_dx64 configs: a
+        # change of merge order or canonical form must show here
+        assert config_hash(resolve_config(override_list=overrides)) == digest
 
     @given(st.dictionaries(
         st.sampled_from(list("abcdefgh")),
