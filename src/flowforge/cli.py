@@ -23,7 +23,8 @@ from . import __version__
 from .atomic import atomic_open
 from .config import (ResolvedConfig, config_hash, resolve_config,
                      write_provenance)
-from .diagnostics import coverage_report, stationarity_gate
+from .diagnostics import (DEFAULT_DELTA_PHI, DEFAULT_EPS_U, coverage_report,
+                          stationarity_gate)
 from .errors import ArtifactIOError, ForgeError, StateError
 from .fields import (DenseField, GridSpec, export_npy, load_npy,
                      read_field_sidecar, write_field_sidecar)
@@ -37,6 +38,13 @@ from .resample import (ResampleOperator, apply, build_operator,
 from .sampling import GeneratorState, freeze_dimension, load_state, save_state
 from .sdf import MeshAccel, voxelize
 from .yamlio import write_yaml
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)   # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="shorthand for sdf_policy.dx=<n>")
     p.add_argument("--band", type=int, default=None,
                    help="shorthand for sdf_policy.band_w=<n>")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                    help="parallel scenes (outputs are per-file independent)")
     p.add_argument("--require-completed", default=None, metavar="CASES_DIR",
                    help="only voxelize scenes whose case completed")
@@ -95,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gate", help="stationarity gate on one case")
     p.add_argument("--case", required=True)
-    p.add_argument("--eps-u", type=float, default=1e-3)
-    p.add_argument("--dphi", type=float, default=1e-2)
+    p.add_argument("--eps-u", type=float, default=DEFAULT_EPS_U)
+    p.add_argument("--dphi", type=float, default=DEFAULT_DELTA_PHI)
 
     p = sub.add_parser("validate", help="resolve and validate a configuration")
     common(p)
@@ -205,11 +213,8 @@ def _cmd_sdf(args) -> int:
             source_stl=stl_path.name)
         return stl_path.stem
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            done = list(pool.map(one, stls))
-    else:
-        done = [one(p) for p in stls]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        done = list(pool.map(one, stls))
     write_provenance(cfg, out_dir, len(done))
     print(f"sdf: wrote {len(done)} field(s) at dx={sdf_policy['dx']} "
           f"into {out_dir}")

@@ -479,14 +479,26 @@ _NUMBER_FIELDS = (
     *(f"resample_policy.{key}" for key in ("sharpness", "power", "eps")),
 )
 
+# every boolean and every string field
+_BOOL_FIELDS = ("name_object_out", "resample_policy.prefilter",
+                "resample_policy.split_components",
+                *(f"sim_param_policy.periodic_axes.{axis}" for axis in "xyz"))
+_STR_FIELDS = ("output_prefix", "campaign",
+               *(f"orchestration_policy.{key}"
+                 for key in ("submit_command", "partition", "time_limit")))
+
 
 def _validate(data: dict):
     for dotted, least in _INT_FIELDS.items():
         value = _lookup(data, dotted)
         _require(_is_int(value) and (least is None or value >= least),
                  f"{dotted}: must be {_INT_KINDS[least]}")
-    for dotted in _NUMBER_FIELDS:
-        _require(_is_number(_lookup(data, dotted)), f"{dotted}: must be a number")
+    for fields, ok, kind in (
+            (_NUMBER_FIELDS, _is_number, "a number"),
+            (_BOOL_FIELDS, lambda value: isinstance(value, bool), "true or false"),
+            (_STR_FIELDS, lambda value: isinstance(value, str), "a (quoted) string")):
+        for dotted in fields:
+            _require(ok(_lookup(data, dotted)), f"{dotted}: must be {kind}")
 
     box = data["bounding_box"]
     for axis in ("x", "y", "z"):
@@ -570,6 +582,8 @@ def _validate(data: dict):
     orc = data["orchestration_policy"]
     _require(orc["backend"] in BACKENDS,
              "orchestration_policy.backend: unknown backend")
+    _require(orc["templates_dir"] is None or isinstance(orc["templates_dir"], str),
+             "orchestration_policy.templates_dir: must be a string or null")
     for key in ("modules", "env_setup"):
         _require(_is_list(orc[key], lambda line: isinstance(line, str)),
                  f"orchestration_policy.{key}: expected a list of strings")

@@ -59,6 +59,14 @@ REFINED_TEMPLATE = "D3Q27_cumulant_test_stability_cube_100_1.conf"
 
 _PACKAGED_TEMPLATES = Path(__file__).parent / "templates"
 
+# the simulation parameters a case reads from its scene sidecar and their
+# types; materialize_case defaults the optional ones
+_SIM_TYPES = {"LU": float, "dx": int, "Re": float, "refinement_parameter": int,
+              **{f"inlet_velocity_{axis}": float for axis in "xyz"},
+              **{f"periodicity_{axis}": int for axis in "xyz"},
+              "omega": float, "tau": float, "mach_inlet": float}
+_SIM_OPTIONAL = ("omega", "tau", "mach_inlet")
+
 
 def select_executable(refinement_parameter: int) -> tuple[str, str]:
     """Map the refinement flag to the (executable, parameter template) pair."""
@@ -156,6 +164,24 @@ def read_manifest(case_dir) -> dict:
     return read_yaml(path)
 
 
+def _read_sim_parameters(yaml_path: Path) -> dict:
+    """The sidecar's simulation parameters, each converted to its type;
+    ArtifactIOError names the file and a missing or malformed key."""
+    sim = read_scene_yaml(yaml_path).get("simulation_parameters")
+    sim = dict(sim) if isinstance(sim, dict) else {}
+    for key, kind in _SIM_TYPES.items():
+        where = f"scene sidecar {yaml_path}: simulation_parameters.{key}"
+        if key in sim:
+            try:
+                sim[key] = kind(sim[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ArtifactIOError(f"{where}: expected {kind.__name__}, "
+                                      f"got {sim[key]!r}") from None
+        elif key not in _SIM_OPTIONAL:
+            raise ArtifactIOError(f"{where} is missing")
+    return sim
+
+
 def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                      sdf_stem=None, force: bool = False) -> CaseRecord:
     """Create (or reuse) the self-contained run directory for one case."""
@@ -194,15 +220,14 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                 if src.exists():
                     shutil.move(str(src), archive / name)
 
+    # a malformed sidecar fails before the case directory exists
+    sim = _read_sim_parameters(yaml_path)
     case_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(case_dir / "geometry.stl", stl_bytes)
 
-    scene = read_scene_yaml(yaml_path)
-    sim = scene["simulation_parameters"]
-    lu = float(sim["LU"])
-    dx = int(sim["dx"])
-    omega = float(sim.get("omega", 1.0 / (3.0 * lu + 0.5)))
-    tau = float(sim.get("tau", 3.0 * lu + 0.5))
+    lu, dx = sim["LU"], sim["dx"]
+    omega = sim.get("omega", 1.0 / (3.0 * lu + 0.5))
+    tau = sim.get("tau", 3.0 * lu + 0.5)
 
     trailer = dumps({"provenance_trailer": {
         "job_identifier": sim.get("job_identifier_", yaml_path.stem),
@@ -212,8 +237,7 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
     atomic_write(case_dir / "metadata.yaml",
                  yaml_bytes + b"\n" + trailer.encode("utf-8"))
 
-    executable, template_name = select_executable(
-        int(sim["refinement_parameter"]))
+    executable, template_name = select_executable(sim["refinement_parameter"])
     templates_dir = Path(templates_dir) if templates_dir else _PACKAGED_TEMPLATES
     template_path = templates_dir / template_name
     if not template_path.exists():
@@ -226,14 +250,11 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                            origin=box.mins, aniso=tuple(sdf_policy["aniso"]))
 
     patch_values = {
-        "omega": omega, "tau": tau, "nu0": lu, "re": float(sim["Re"]),
+        "omega": omega, "tau": tau, "nu0": lu, "re": sim["Re"],
         "timesteps": int(orch["timesteps"]),
-        "inlet_velocity_x": float(sim["inlet_velocity_x"]),
-        "inlet_velocity_y": float(sim["inlet_velocity_y"]),
-        "inlet_velocity_z": float(sim["inlet_velocity_z"]),
-        "periodicity_x": int(sim["periodicity_x"]),
-        "periodicity_y": int(sim["periodicity_y"]),
-        "periodicity_z": int(sim["periodicity_z"]),
+        **{key: sim[key] for key in (
+            "inlet_velocity_x", "inlet_velocity_y", "inlet_velocity_z",
+            "periodicity_x", "periodicity_y", "periodicity_z")},
         "nx": grid.dims[0], "ny": grid.dims[1], "nz": grid.dims[2],
         "dx": dx,
         "comp_interval": int(orch["comp_interval"]),
@@ -279,18 +300,15 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
         "band_w": int(sdf_policy["band_w"]),
         "bc_policy": {
             "inlet": "velocity", "outlet": "pressure", "walls": "no_slip",
-            "periodic": [int(sim["periodicity_x"]), int(sim["periodicity_y"]),
-                         int(sim["periodicity_z"])],
+            "periodic": [sim[f"periodicity_{axis}"] for axis in "xyz"],
         },
-        "re_target": float(sim["Re"]),
-        "mach": {"inlet": float(sim.get("mach_inlet", 0.0)),
+        "re_target": sim["Re"],
+        "mach": {"inlet": sim.get("mach_inlet", 0.0),
                  "ok_inlet": bool(sim.get("mach_ok_inlet", True)),
                  "ok_global": bool(sim.get("mach_ok_global", True))},
         "relaxation": {"tau": tau, "omega": omega},
         "inlet_profile": "uniform",
-        "inlet_velocity": [float(sim["inlet_velocity_x"]),
-                           float(sim["inlet_velocity_y"]),
-                           float(sim["inlet_velocity_z"])],
+        "inlet_velocity": [sim[f"inlet_velocity_{axis}"] for axis in "xyz"],
         "executable": executable,
         "template": template_name,
         "lane": -1,

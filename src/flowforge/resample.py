@@ -13,11 +13,12 @@ once per source grid (:func:`build_operator`) and reused for every field
 sampled on that grid (:func:`apply`); :func:`interpolate` is the one-shot
 form of the two.
 
-A tie-inclusive k-nearest set is found by escalation.  Every target first
+A tie-inclusive k-nearest set is found in two steps.  Every target
 queries k + 1 neighbors; only a target whose (k+1)-th neighbor ties the
-k-th queries k + ``_TIE_BUFFER``, and only one whose set fills even that
-takes a ball query.  The operator is as wide as the widest tie set: 5
-columns for k = 4 from the dx=16 channel grid onto the 128x32x32 target.
+k-th takes one ball query out to the tie distance, through the same
+padded-set code as the radius footprint (:func:`_ball_sets`).  The
+operator is as wide as the widest tie set: 5 columns for k = 4 from the
+dx=16 channel grid onto the 128x32x32 target.
 
 Normalized weights reproduce constant fields exactly for every
 kernel/footprint combination.  When all weights vanish (or a radius
@@ -33,6 +34,7 @@ Besides the YAML policy block, the classic INI layout is accepted
 from __future__ import annotations
 
 import configparser
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,9 +56,8 @@ DEFAULT_K_SCHEDULE = {
 DEFAULT_K = 6
 
 # neighbors within d_k (1 + _TIE_REL) tie the k-th; a target whose k+1
-# probe ties re-queries k + _TIE_BUFFER, then falls back to a ball query
+# probe ties takes a ball query
 _TIE_REL = 1e-12
-_TIE_BUFFER = 24
 
 
 @dataclass(frozen=True)
@@ -121,115 +122,79 @@ def default_k_for_grid(dims) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Spatial index
+# Spatial index and neighbor sets
 # ---------------------------------------------------------------------------
-class SpatialIndex:
-    """Exact k-NN and radius queries (results identical to a linear scan)."""
-
-    def __init__(self, positions):
-        from scipy.spatial import cKDTree   # on first use: see README "Dependencies"
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        if len(positions) == 0:
-            raise FieldError("cannot index an empty point set")
-        self.positions = positions
-        self.tree = cKDTree(positions)
-
-    def knn(self, queries: np.ndarray, k: int):
-        k = min(k, len(self.positions))
-        dist, idx = self.tree.query(np.atleast_2d(queries), k=k, workers=1)
-        if k == 1:
-            dist, idx = dist[:, None], idx[:, None]
-        return dist, idx
-
-    def radius(self, query: np.ndarray, r: float) -> list:
-        return self.tree.query_ball_point(np.asarray(query), r, workers=1)
+def build_index(positions):
+    """A ``cKDTree`` over ``positions``: exact k-NN and ball queries,
+    results identical to a linear scan."""
+    from scipy.spatial import cKDTree   # on first use: see README "Dependencies"
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    if len(positions) == 0:
+        raise FieldError("cannot index an empty point set")
+    return cKDTree(positions)
 
 
-def build_index(positions) -> SpatialIndex:
-    return SpatialIndex(positions)
+def _ball_sets(index, targets: np.ndarray, radius):
+    """Every source within ``radius`` (a scalar or one per target) of each
+    target, as padded (dist, idx) arrays sorted by (distance, source id),
+    with inf and 0 past a row's members, and the member count per row."""
+    lists = index.query_ball_point(targets, radius, workers=1)
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    members = np.fromiter(itertools.chain.from_iterable(lists),
+                          dtype=np.int64, count=int(counts.sum()))
+    rows = np.repeat(np.arange(len(targets)), counts)
+    d = np.linalg.norm(index.data[members] - targets[rows], axis=1)
+    # rows come first in the sort key, so ``rows`` is already in order
+    order = np.lexsort((members, d, rows))
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = max(1, int(counts.max(initial=0)))
+    dist = np.full((len(targets), width), np.inf)
+    idx = np.zeros((len(targets), width), dtype=np.int64)
+    dist[rows, cols], idx[rows, cols] = d[order], members[order]
+    return dist, idx, counts
 
 
-# ---------------------------------------------------------------------------
-# Neighbor sets
-# ---------------------------------------------------------------------------
-def _sorted_knn(index: SpatialIndex, targets: np.ndarray, width: int):
-    """``width`` nearest sources per target, ordered by (distance, id) so
-    that equidistant ties break the same way whatever the query order."""
-    dist, idx = index.knn(targets, width)
-    order = np.lexsort((idx, dist), axis=1)
-    return (np.take_along_axis(dist, order, axis=1),
-            np.take_along_axis(idx, order, axis=1))
-
-
-def _by_distance(index: SpatialIndex, target: np.ndarray, members):
-    """Ball-query ``members`` around one target and their distances, both
-    sorted by (distance, source id)."""
-    members = np.asarray(members, dtype=np.int64)
-    d = np.linalg.norm(index.positions[members] - target, axis=1)
-    order = np.lexsort((members, d))
-    return d[order], members[order]
-
-
-def _neighbor_sets_n_closest(index: SpatialIndex, targets: np.ndarray, k: int):
+def _neighbor_sets_n_closest(index, targets: np.ndarray, k: int):
     """Tie-inclusive k-nearest sets as padded (dist, idx, valid) arrays.
 
     Each row's footprint is the prefix of sources within ``d_k (1 +
     _TIE_REL)``.  The arrays are as wide as the widest footprint, so every
     dropped column would have had zero weight.
     """
-    n_src = len(index.positions)
-    k_eff = min(k, n_src)
-    width = min(n_src, k_eff + 1)
-    dist, idx = _sorted_knn(index, targets, width)
+    k_eff = min(k, index.n)
+    width = min(index.n, k_eff + 1)
+    dist, idx = index.query(targets, k=list(range(1, width + 1)), workers=1)
+    # (distance, id) order: equidistant ties break the same way whatever
+    # the query order
+    order = np.lexsort((idx, dist), axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
     d_k = dist[:, k_eff - 1]
     tie_limit = d_k * (1.0 + _TIE_REL)
-    # (rows, dist, idx) blocks; a later block replaces its rows' entries
-    blocks = [(slice(None), dist, idx)]
 
-    # only rows whose (k+1)-th neighbor ties the k-th can have a wider set
-    escalate = np.flatnonzero((dist[:, -1] <= tie_limit) & (width < n_src))
-    if len(escalate):
-        buffer = min(n_src, k_eff + _TIE_BUFFER)
-        wide_dist, wide_idx = _sorted_knn(index, targets[escalate], buffer)
-        blocks.append((escalate, wide_dist, wide_idx))
-
-        # rows whose tie set may extend past the buffer need a full ball query
-        full = (wide_dist[:, -1] <= tie_limit[escalate]) & (buffer < n_src)
-        for r in escalate[full]:
-            members = index.tree.query_ball_point(
-                targets[r], float(tie_limit[r]), workers=1)
-            d, members = _by_distance(index, targets[r], members)
-            blocks.append(([r], d[None, :], members[None, :]))
+    # only rows whose (k+1)-th neighbor ties the k-th can have a wider set.
+    # Their ball reaches past tie_limit, so that the tree's squared-distance
+    # test cannot drop a member on the boundary; membership is decided below
+    ties = np.flatnonzero((dist[:, -1] <= tie_limit) & (width < index.n))
+    if len(ties):
+        ball_dist, ball_idx, _ = _ball_sets(
+            index, targets[ties], tie_limit[ties] * (1.0 + _TIE_REL))
+        # every row is copied, at a cost in peak memory, only when a tie
+        # set outgrows the probe (a tie row's ball holds the probe's members)
+        if ball_dist.shape[1] > width:
+            grow = ((0, 0), (0, ball_dist.shape[1] - width))
+            dist, idx = np.pad(dist, grow, constant_values=np.inf), np.pad(idx, grow)
+        dist[ties], idx[ties] = ball_dist, ball_idx
 
     # rows are sorted, so each footprint is a prefix and its length a count
-    counts = np.zeros(len(targets), dtype=np.int64)
-    for rows, d, _ in blocks:
-        counts[rows] = (d <= tie_limit[rows, None]).sum(axis=1)
-    width = max(1, int(counts.max()))
-    out_dist = np.empty((len(targets), width))
-    out_idx = np.empty((len(targets), width), dtype=np.int64)
-    for rows, d, i in blocks:
-        cols = min(width, d.shape[1])
-        out_dist[rows, :cols], out_dist[rows, cols:] = d[:, :cols], np.inf
-        out_idx[rows, :cols], out_idx[rows, cols:] = i[:, :cols], 0
-    valid = out_dist <= tie_limit[:, None]
-    return out_dist, out_idx, valid, d_k
+    valid = dist <= tie_limit[:, None]
+    width = max(1, int(valid.sum(axis=1).max()))
+    return dist[:, :width], idx[:, :width], valid[:, :width], d_k
 
 
-def _neighbor_sets_radius(index: SpatialIndex, targets: np.ndarray, r: float):
-    lists = index.tree.query_ball_point(targets, r, workers=1)
-    counts = np.fromiter((len(l) for l in lists), dtype=np.int64,
-                         count=len(lists))
-    width = max(1, int(counts.max()) if len(counts) else 1)
-    dist = np.full((len(targets), width), np.inf)
-    idx = np.zeros((len(targets), width), dtype=np.int64)
-    for row, members in enumerate(lists):
-        if not members:
-            continue
-        d, members = _by_distance(index, targets[row], members)
-        dist[row, :len(d)], idx[row, :len(d)] = d, members
-    valid = np.isfinite(dist)
-    return dist, idx, valid, counts
+def _neighbor_sets_radius(index, targets: np.ndarray, r: float):
+    dist, idx, counts = _ball_sets(index, targets, r)
+    return dist, idx, np.isfinite(dist), counts
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +255,7 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
         idx = weights = wsum = exact_hit = None
         covered = has_any
     else:
-        offsets = index.positions[idx] - targets[:, None, :]
+        offsets = index.data[idx] - targets[:, None, :]
         weights = _batch_weights(kernel, offsets, dist, radii)
         weights = np.where(valid, weights, 0.0)
         # columns summed left to right, so a row's sum depends only on its
@@ -306,16 +271,13 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
     # all weights vanished (e.g. linear kernel with every d == R, or an
     # empty radius footprint): nearest-neighbor fallback, flagged
     hole_rows = np.flatnonzero(~covered)
-    hole_sources = np.zeros(0, dtype=np.int64)
-    if len(hole_rows):
-        _, nn = index.knn(targets[hole_rows], 1)
-        hole_sources = nn[:, 0]
+    _, nearest = index.query(targets[hole_rows], k=[1], workers=1)
 
     return ResampleOperator(
         target=target, kernel=kernel.kind, footprint=footprint.mode,
-        n_sources=len(index.positions), anchor=anchor, idx=idx,
+        n_sources=index.n, anchor=anchor, idx=idx,
         weights=weights, wsum=wsum, exact_hit=exact_hit,
-        hole_rows=hole_rows, hole_sources=hole_sources)
+        hole_rows=hole_rows, hole_sources=nearest[:, 0])
 
 
 def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:

@@ -98,6 +98,15 @@ class TestSdf:
         assert run(["sdf", "--in", tmp_path / "nope",
                     "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_must_be_positive(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_:
+            run(["sdf", "--in", tmp_path, "--out", tmp_path / "o",
+                 "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestOrchestrate:
     def test_dry_run_writes_plan_without_execution(self, pipeline, tmp_path):
@@ -116,6 +125,29 @@ class TestOrchestrate:
         for case_dir in out.iterdir():
             if case_dir.is_dir():
                 assert not (case_dir / "velocity.npy").exists()
+
+    @pytest.mark.parametrize("lu, problem", [
+        (None, "simulation_parameters.LU is missing"),
+        ("abc", "simulation_parameters.LU: expected float, got 'abc'"),
+    ])
+    def test_malformed_sidecar_exits_2(self, pipeline, tmp_path, capsys, lu,
+                                       problem):
+        scenes, cases = tmp_path / "scenes", tmp_path / "cases"
+        shutil.copytree(pipeline["scenes"], scenes)
+        sidecar = scenes / "object_0.yaml"
+        doc = yaml.safe_load(sidecar.read_text())
+        if lu is None:
+            del doc["simulation_parameters"]["LU"]
+        else:
+            doc["simulation_parameters"]["LU"] = lu
+        sidecar.write_text(yaml.safe_dump(doc))
+        assert run(["orchestrate", *SMALL_OVERRIDES, "--scenes", scenes,
+                    "--sdf", pipeline["sdf"], "--out", cases,
+                    "--backend", "dry_run"]) == 2
+        assert (f"forge orchestrate: scene sidecar {sidecar}: {problem}"
+                in capsys.readouterr().err)
+        # no case directory is left behind
+        assert not [p for p in cases.iterdir() if p.is_dir()]
 
     def test_local_completes_cases(self, pipeline):
         index = yaml.safe_load((pipeline["cases"] / "index.yaml").read_text())
@@ -409,6 +441,32 @@ class TestValidate:
     def test_bad_override_is_a_message(self, capsys, override, problem):
         assert run(["validate", override]) == 1
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("resample_policy.prefilter=abc",
+         "resample_policy.prefilter: must be true or false"),
+        ("resample_policy.split_components=1",
+         "resample_policy.split_components: must be true or false"),
+        ("sim_param_policy.periodic_axes.y=abc",
+         "sim_param_policy.periodic_axes.y: must be true or false"),
+        ("name_object_out=3", "name_object_out: must be true or false"),
+        ("output_prefix=[1]", "output_prefix: must be a (quoted) string"),
+        ("campaign=7", "campaign: must be a (quoted) string"),
+        ("orchestration_policy.submit_command=[a]",
+         "orchestration_policy.submit_command: must be a (quoted) string"),
+        ("orchestration_policy.partition=1",
+         "orchestration_policy.partition: must be a (quoted) string"),
+        ("orchestration_policy.time_limit=5",
+         "orchestration_policy.time_limit: must be a (quoted) string"),
+        # YAML reads an unquoted h:m:s as a base-60 integer (43200)
+        ("orchestration_policy.time_limit=12:00:00",
+         "orchestration_policy.time_limit: must be a (quoted) string"),
+        ("orchestration_policy.templates_dir=[a]",
+         "orchestration_policy.templates_dir: must be a string or null"),
+    ])
+    def test_bool_and_string_fields_checked(self, capsys, override, message):
+        assert run(["validate", override]) == 1
+        assert f"forge validate: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         "sdf_policy={dx: 8}", "bounding_box={x_min: 0}",

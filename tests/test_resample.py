@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from _oracles import brute_interpolate
 from flowforge.errors import FieldError
-from flowforge.resample import (_TIE_BUFFER, FootprintSpec, KernelSpec,
-                                SourcePoints, _batch_weights,
-                                _neighbor_sets_n_closest,
+from flowforge.resample import (FootprintSpec, KernelSpec, SourcePoints,
+                                _batch_weights, _neighbor_sets_n_closest,
                                 _neighbor_sets_radius, _to_field, apply,
                                 build_index, build_operator,
                                 default_k_for_grid, interpolate,
@@ -39,7 +38,7 @@ class TestSpatialIndex:
     def test_knn_at_source_is_zero(self):
         pts = lattice_sources(4)
         index = build_index(pts.positions)
-        d, i = index.knn(pts.positions[5], 1)
+        d, i = index.query(pts.positions[5:6], k=[1], workers=1)
         assert d[0, 0] == 0.0 and i[0, 0] == 5
 
     @given(st.integers(0, 10_000))
@@ -50,7 +49,7 @@ class TestSpatialIndex:
         pts = SourcePoints(pos, np.zeros(len(pos)))
         index = build_index(pts.positions)
         queries = rng.uniform(0, 10, size=(100, 3))
-        d, i = index.knn(queries, 4)
+        d, i = index.query(queries, k=[1, 2, 3, 4], workers=1)
         for q, drow, irow in zip(queries, d, i):
             scan = np.linalg.norm(pos - q, axis=1)
             order = np.argsort(scan, kind="stable")[:4]
@@ -60,7 +59,7 @@ class TestSpatialIndex:
     def test_radius_zero_only_coincident(self):
         pts = lattice_sources(4)
         index = build_index(pts.positions)
-        hits = index.radius(pts.positions[3], 0.0)
+        hits = index.query_ball_point(pts.positions[3], 0.0, workers=1)
         assert hits == [3]
 
     def test_empty_input_rejected(self):
@@ -141,7 +140,7 @@ class TestInterpolate:
         field, _ = interpolate(pts, target, KernelSpec("voronoi"),
                                FootprintSpec("n_closest", k=5))
         index = build_index(pts.positions)
-        d, i = index.knn(target.sample_positions(), 1)
+        d, i = index.query(target.sample_positions(), k=[1], workers=1)
         np.testing.assert_array_equal(field.values.ravel(),
                                       pts.values[i[:, 0], 0])
 
@@ -216,11 +215,11 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
         nearest = idx[rows, first]
         empty = ~valid[rows, first]
         if empty.any():
-            _, nn = index.knn(targets[empty], 1)
+            _, nn = index.query(targets[empty], k=[1], workers=1)
             nearest[empty] = nn[:, 0]
         return _to_field(values[nearest], target, n_comp), int(empty.sum())
 
-    offsets = index.positions[idx] - targets[:, None, :]
+    offsets = index.data[idx] - targets[:, None, :]
     weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii), 0.0)
     wsum = np.zeros(n_targets)
     for column in weights.T:    # left to right, the specified sum order
@@ -235,7 +234,7 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
     out[exact_hit] = anchor[exact_hit]
     rows = np.flatnonzero(~ok & ~exact_hit)
     if len(rows):
-        _, nn = index.knn(targets[rows], 1)
+        _, nn = index.query(targets[rows], k=[1], workers=1)
         out[rows] = values[nn[:, 0]]
     return _to_field(out, target, n_comp), len(rows)
 
@@ -271,7 +270,7 @@ EQUIVALENCE_CASES = {
     "four_tied": (lambda: FOUR_TIED, ORIGIN_ONLY,
                   FootprintSpec("n_closest", k=2),
                   FootprintSpec("radius", radius=1.0)),
-    # 40 equidistant sources: more ties than k + _TIE_BUFFER
+    # 40 equidistant sources: more ties than the wide query's buffer
     "tie_overflow": (circle_tie_sources, ORIGIN_ONLY,
                      FootprintSpec("n_closest", k=2),
                      FootprintSpec("radius", radius=1.5)),
@@ -285,14 +284,14 @@ EQUIVALENCE_CASES = {
 
 
 def wide_neighbor_sets(index, targets, k):
-    """Tie-inclusive k-nearest sets from one k + _TIE_BUFFER query per
-    target, with a ball query where the tie set fills it: the footprints
-    the narrow probe must reproduce.  Returns (dist, idx) as wide as the
-    widest footprint, with inf and -1 past each footprint, and d_k."""
-    n_src = len(index.positions)
+    """Tie-inclusive k-nearest sets from one k + 24 query per target, with
+    a ball query where the tie set fills it: the footprints the narrow
+    probe must reproduce.  Returns (dist, idx) as wide as the widest
+    footprint, with inf and -1 past each footprint, and d_k."""
+    n_src = index.n
     k_eff = min(k, n_src)
-    buffer = min(n_src, k_eff + _TIE_BUFFER)
-    dist, idx = index.knn(targets, buffer)
+    buffer = min(n_src, k_eff + 24)
+    dist, idx = index.query(targets, k=list(range(1, buffer + 1)), workers=1)
     order = np.lexsort((idx, dist), axis=1)
     dist = np.take_along_axis(dist, order, axis=1)
     idx = np.take_along_axis(idx, order, axis=1)
@@ -301,8 +300,9 @@ def wide_neighbor_sets(index, targets, k):
     keep = dist <= tie_limit[:, None]
     rows = {}
     for r in np.flatnonzero(keep[:, -1] & (buffer < n_src)):
-        members = np.asarray(sorted(index.radius(targets[r], tie_limit[r])))
-        d = np.linalg.norm(index.positions[members] - targets[r], axis=1)
+        members = np.asarray(sorted(index.query_ball_point(
+            targets[r], tie_limit[r], workers=1)))
+        d = np.linalg.norm(index.data[members] - targets[r], axis=1)
         order = np.lexsort((members, d))
         inside = d[order] <= tie_limit[r]
         rows[r] = (d[order][inside], members[order][inside])
@@ -405,7 +405,7 @@ class TestOperatorEquivalence:
     @pytest.mark.parametrize("layout", sorted(LATTICE_TARGETS))
     def test_narrow_probe_matches_wide_query_on_lattices(self, layout,
                                                          channel_sources):
-        """The probe's width is the widest tie set, not k + _TIE_BUFFER."""
+        """The probe's width is the widest tie set, not the wide query's."""
         target, widest = LATTICE_TARGETS[layout]
         width = self.check_narrow_probe(channel_sources.positions,
                                         target.sample_positions(), 4)
@@ -416,6 +416,34 @@ class TestOperatorEquivalence:
         make_points, target, knn_fp, _ = EQUIVALENCE_CASES[case]
         self.check_narrow_probe(make_points().positions,
                                 target.sample_positions(), knn_fp.k)
+
+    @pytest.mark.parametrize("case", ["lattice", "unstructured"])
+    def test_radius_sets_match_per_row_ball_query(self, case):
+        """Radius footprints equal one ball query per target with its
+        members sorted by (distance, id), bit for bit, in arrays as wide
+        as the largest footprint."""
+        make_points, target, _, radius_fp = EQUIVALENCE_CASES[case]
+        positions = make_points().positions
+        targets = target.sample_positions()
+        index = build_index(positions)
+        rows = []
+        for point in targets:
+            members = np.asarray(index.query_ball_point(
+                point, radius_fp.radius, workers=1), dtype=np.int64)
+            d = np.linalg.norm(positions[members] - point, axis=1)
+            order = np.lexsort((members, d))
+            rows.append((d[order], members[order]))
+        width = max(1, max(len(d) for d, _ in rows))
+        want_dist = np.full((len(targets), width), np.inf)
+        want_idx = np.zeros((len(targets), width), dtype=np.int64)
+        for r, (d, members) in enumerate(rows):
+            want_dist[r, :len(d)], want_idx[r, :len(d)] = d, members
+        dist, idx, valid, counts = _neighbor_sets_radius(
+            index, targets, radius_fp.radius)
+        assert np.array_equal(dist, want_dist)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(valid, np.isfinite(want_dist))
+        assert np.array_equal(counts, [len(d) for d, _ in rows])
 
     @staticmethod
     def check_narrow_probe(positions, targets, k):
@@ -439,7 +467,7 @@ class TestOperatorEquivalence:
         ring = circle_tie_sources()
         overflow = build_operator(ring.positions, ORIGIN_ONLY, linear,
                                   FootprintSpec("n_closest", k=2))
-        assert overflow.idx.shape[1] > 2 + _TIE_BUFFER
+        assert overflow.idx.shape[1] == 40
         make_points, target, _, radius_fp = EQUIVALENCE_CASES["empty_radius"]
         empty = build_operator(make_points().positions, target,
                                KernelSpec("gaussian"), radius_fp)
