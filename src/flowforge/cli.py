@@ -8,13 +8,11 @@ Exit codes: 0 success, 1 validation error, 2 I/O or scheduler error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
+import functools
 import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="shorthand for sdf_policy.dx=<n>")
     p.add_argument("--band", type=int, default=None,
                    help="shorthand for sdf_policy.band_w=<n>")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                   help="parallel scenes (outputs are per-file independent)")
+    # the CPUs this process may use (a batch allocation's share of a node)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=cpus,
+                   help="worker processes, one scene each at a time")
     p.add_argument("--require-completed", default=None, metavar="CASES_DIR",
                    help="only voxelize scenes whose case completed")
 
@@ -197,28 +198,44 @@ def _cmd_sdf(args) -> int:
     grid = GridSpec.preset(sdf_policy["dx"], extents=box.extents,
                            origin=box.mins, aniso=tuple(sdf_policy["aniso"]))
 
-    def one(stl_path: Path):
-        mesh = read_stl(stl_path)
-        accel = MeshAccel(mesh)
-        field = voxelize(mesh, grid, sdf_policy["band_w"], accel=accel)
-        stem = out_dir / stl_path.stem
-        export_npy(field.values, stem.with_suffix(".npy"))
-        write_field_sidecar(
-            stem.with_suffix(".yaml"), grid,
-            components=1, sign_convention="negative_inside",
-            band_w=int(sdf_policy["band_w"]),
-            aniso=list(sdf_policy["aniso"]),
-            source_mesh_sha256=hashlib.sha256(
-                stl_path.read_bytes()).hexdigest(),
-            source_stl=stl_path.name)
-        return stl_path.stem
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        done = list(pool.map(one, stls))
+    scene = functools.partial(_voxelize_scene, out_dir=out_dir, grid=grid,
+                              sdf_policy=sdf_policy)
+    import multiprocessing  # here: it would add start-up to every command
+    workers = min(args.jobs, len(stls))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        done = [scene(stl_path) for stl_path in stls]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        # fork, not spawn: workers start with numpy, scipy and flowforge
+        # loaded, and this process runs no other thread while it forks them
+        context = multiprocessing.get_context("fork")
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                done = list(pool.map(scene, stls))
+        except BrokenProcessPool as exc:
+            raise ArtifactIOError(f"a worker process died: {exc}") from exc
     write_provenance(cfg, out_dir, len(done))
     print(f"sdf: wrote {len(done)} field(s) at dx={sdf_policy['dx']} "
           f"into {out_dir}")
     return 0
+
+
+def _voxelize_scene(stl_path: Path, out_dir: Path, grid: GridSpec,
+                    sdf_policy: dict) -> str:
+    """One scene of ``forge sdf``: its SDF ``.npy`` and sidecar."""
+    mesh = read_stl(stl_path)
+    field = voxelize(mesh, grid, sdf_policy["band_w"], accel=MeshAccel(mesh))
+    stem = out_dir / stl_path.stem
+    export_npy(field.values, stem.with_suffix(".npy"))
+    write_field_sidecar(
+        stem.with_suffix(".yaml"), grid,
+        components=1, sign_convention="negative_inside",
+        band_w=int(sdf_policy["band_w"]),
+        aniso=list(sdf_policy["aniso"]),
+        source_mesh_sha256=hashlib.sha256(stl_path.read_bytes()).hexdigest(),
+        source_stl=stl_path.name)
+    return stl_path.stem
 
 
 def _cmd_orchestrate(args) -> int:
@@ -436,11 +453,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if sys.platform.startswith("linux"):
-        # one malloc arena for every thread: glibc's per-thread arenas keep
-        # freed memory resident in amounts that vary with thread timing
-        with contextlib.suppress(OSError, AttributeError):
-            ctypes.CDLL(None).mallopt(-8, 1)        # M_ARENA_MAX
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -172,11 +172,16 @@ def _read_sim_parameters(yaml_path: Path) -> dict:
     for key, kind in _SIM_TYPES.items():
         where = f"scene sidecar {yaml_path}: simulation_parameters.{key}"
         if key in sim:
+            raw = sim[key]
             try:
-                sim[key] = kind(sim[key])
+                sim[key] = kind(raw)
             except (TypeError, ValueError, OverflowError):
+                sim[key] = None
+            # int() truncates: a sidecar's 16.7 must not become a silent 16
+            if sim[key] is None or (kind is int and isinstance(raw, float)
+                                    and sim[key] != raw):
                 raise ArtifactIOError(f"{where}: expected {kind.__name__}, "
-                                      f"got {sim[key]!r}") from None
+                                      f"got {raw!r}")
         elif key not in _SIM_OPTIONAL:
             raise ArtifactIOError(f"{where} is missing")
     return sim

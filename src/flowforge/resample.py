@@ -269,15 +269,19 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
         covered = ok | exact_hit
 
     # all weights vanished (e.g. linear kernel with every d == R, or an
-    # empty radius footprint): nearest-neighbor fallback, flagged
+    # empty radius footprint): nearest-neighbor fallback, flagged, with
+    # equidistant sources breaking to the smallest id like the anchor
     hole_rows = np.flatnonzero(~covered)
-    _, nearest = index.query(targets[hole_rows], k=[1], workers=1)
+    hole_sources = anchor[hole_rows]
+    if footprint.mode == "radius" and len(hole_rows):
+        hole_sources = _neighbor_sets_n_closest(
+            index, targets[hole_rows], 1)[1][:, 0]
 
     return ResampleOperator(
         target=target, kernel=kernel.kind, footprint=footprint.mode,
         n_sources=index.n, anchor=anchor, idx=idx,
         weights=weights, wsum=wsum, exact_hit=exact_hit,
-        hole_rows=hole_rows, hole_sources=nearest[:, 0])
+        hole_rows=hole_rows, hole_sources=hole_sources)
 
 
 def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import yaml
 
 import flowforge.cli
 from flowforge.cli import main
+from flowforge.errors import FieldError
 from flowforge.fields import export_npy, load_npy
 from flowforge.orchestrate import read_index
 
@@ -25,7 +27,10 @@ SMALL_OVERRIDES = [
 
 
 def run(argv):
-    return main([str(a) for a in argv])
+    code = main([str(a) for a in argv])
+    # no forge sdf worker process outlives the command
+    assert multiprocessing.active_children() == []
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +50,15 @@ def pipeline(tmp_path_factory):
                 "--out", report]) == 0
     return {"root": root, "scenes": scenes, "sdf": sdf, "cases": cases,
             "tensors": tensors, "report": report}
+
+
+@pytest.fixture(scope="module")
+def three_scenes(tmp_path_factory):
+    """Three generated scenes, so --jobs 3 starts three workers."""
+    scenes = tmp_path_factory.mktemp("three") / "scenes"
+    overrides = [o for o in SMALL_OVERRIDES if not o.startswith("repeat")]
+    assert run(["generate", "repeat=3", *overrides, "--out", scenes]) == 0
+    return scenes
 
 
 class TestGenerate:
@@ -107,6 +121,75 @@ class TestSdf:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_jobs_default_to_usable_cpus(self, monkeypatch):
+        # under a batch allocation the affinity mask, not the node, counts
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        argv = ["sdf", "--in", "scenes", "--out", "sdf"]
+        assert flowforge.cli._build_parser().parse_args(argv).jobs == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert flowforge.cli._build_parser().parse_args(argv).jobs == 64
+
+    def test_jobs_write_identical_trees(self, three_scenes, tmp_path):
+        trees = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"sdf_{jobs}"
+            assert run(["sdf", *SMALL_OVERRIDES, "--in", three_scenes,
+                        "--out", out, "--jobs", jobs]) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "provenance.json"})
+        assert len(trees[0]) == 3 * 2 + 1    # .npy + .yaml, frozen config
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+
+    def test_worker_error_matches_inline(self, three_scenes, tmp_path,
+                                         monkeypatch, capsys):
+        read_stl = flowforge.cli.read_stl
+
+        def read_or_fail(path):
+            if path.stem == "object_1":
+                raise FieldError(f"{path.name}: degenerate mesh")
+            return read_stl(path)
+
+        monkeypatch.setattr(flowforge.cli, "read_stl", read_or_fail)
+        outcomes = []
+        for jobs in (1, 2):
+            code = run(["sdf", *SMALL_OVERRIDES, "--in", three_scenes,
+                        "--out", tmp_path / f"sdf_{jobs}", "--jobs", jobs])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == (1, "forge sdf: object_1.stl: degenerate mesh\n")
+        assert outcomes[1] == outcomes[0]
+
+    def test_dead_worker_exits_2(self, three_scenes, tmp_path, monkeypatch,
+                                 capsys):
+        parent = os.getpid()
+
+        def die(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise AssertionError("voxelized inline")
+
+        monkeypatch.setattr(flowforge.cli, "read_stl", die)
+        assert run(["sdf", *SMALL_OVERRIDES, "--in", three_scenes,
+                    "--out", tmp_path / "sdf", "--jobs", 2]) == 2
+        assert capsys.readouterr().err.startswith(
+            "forge sdf: a worker process died")
+
+    def test_without_fork_voxelizes_inline(self, three_scenes, tmp_path,
+                                           monkeypatch):
+        read_stl, pids = flowforge.cli.read_stl, []
+
+        def read_here(path):
+            pids.append(os.getpid())
+            return read_stl(path)
+
+        monkeypatch.setattr(flowforge.cli, "read_stl", read_here)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert run(["sdf", *SMALL_OVERRIDES, "--in", three_scenes,
+                    "--out", tmp_path / "sdf", "--jobs", 2]) == 0
+        assert pids == [os.getpid()] * 3
+
 
 class TestOrchestrate:
     def test_dry_run_writes_plan_without_execution(self, pipeline, tmp_path):
@@ -132,22 +215,48 @@ class TestOrchestrate:
     ])
     def test_malformed_sidecar_exits_2(self, pipeline, tmp_path, capsys, lu,
                                        problem):
-        scenes, cases = tmp_path / "scenes", tmp_path / "cases"
-        shutil.copytree(pipeline["scenes"], scenes)
-        sidecar = scenes / "object_0.yaml"
-        doc = yaml.safe_load(sidecar.read_text())
-        if lu is None:
-            del doc["simulation_parameters"]["LU"]
-        else:
-            doc["simulation_parameters"]["LU"] = lu
-        sidecar.write_text(yaml.safe_dump(doc))
-        assert run(["orchestrate", *SMALL_OVERRIDES, "--scenes", scenes,
-                    "--sdf", pipeline["sdf"], "--out", cases,
-                    "--backend", "dry_run"]) == 2
+        self.check_rejected(pipeline, tmp_path, capsys, "LU", lu, problem)
+
+    @pytest.mark.parametrize("key", ["dx", "refinement_parameter",
+                                     "periodicity_y"])
+    def test_fractional_integer_parameter_exits_2(self, pipeline, tmp_path,
+                                                  capsys, key):
+        # int() would truncate it to a different case without a message
+        self.check_rejected(pipeline, tmp_path, capsys, key, 16.7,
+                            f"simulation_parameters.{key}: expected int, "
+                            f"got 16.7")
+
+    def test_integral_float_parameter_accepted(self, pipeline, tmp_path):
+        assert self.orchestrate_edited(pipeline, tmp_path, "dx", 16.0)[0] == 0
+
+    @classmethod
+    def check_rejected(cls, pipeline, tmp_path, capsys, key, value, problem):
+        """orchestrate exits 2 naming ``problem`` and makes no case."""
+        code, sidecar, cases = cls.orchestrate_edited(pipeline, tmp_path, key,
+                                                      value)
+        assert code == 2
         assert (f"forge orchestrate: scene sidecar {sidecar}: {problem}"
                 in capsys.readouterr().err)
         # no case directory is left behind
         assert not [p for p in cases.iterdir() if p.is_dir()]
+
+    @staticmethod
+    def orchestrate_edited(pipeline, tmp_path, key, value):
+        """A dry run over the scenes with the first sidecar's ``key`` set to
+        ``value`` (deleted when None): exit code, sidecar and cases dir."""
+        scenes, cases = tmp_path / "scenes", tmp_path / "cases"
+        shutil.copytree(pipeline["scenes"], scenes)
+        sidecar = scenes / "object_0.yaml"
+        doc = yaml.safe_load(sidecar.read_text())
+        if value is None:
+            del doc["simulation_parameters"][key]
+        else:
+            doc["simulation_parameters"][key] = value
+        sidecar.write_text(yaml.safe_dump(doc))
+        code = run(["orchestrate", *SMALL_OVERRIDES, "--scenes", scenes,
+                    "--sdf", pipeline["sdf"], "--out", cases,
+                    "--backend", "dry_run"])
+        return code, sidecar, cases
 
     def test_local_completes_cases(self, pipeline):
         index = yaml.safe_load((pipeline["cases"] / "index.yaml").read_text())
@@ -486,35 +595,6 @@ class TestValidate:
         # the resample stage rejects a radius footprint without a radius
         assert run(["validate", "resample_policy.footprint=radius"]) == 1
         assert "resample_policy: radius footprint" in capsys.readouterr().err
-
-
-class TestMallocArena:
-    @pytest.fixture
-    def mallopt_calls(self, monkeypatch):
-        calls = []
-
-        class Libc:
-            def mallopt(self, param, value):
-                calls.append((param, value))
-                return 1
-
-        monkeypatch.setattr(flowforge.cli.ctypes, "CDLL", lambda name: Libc())
-        return calls
-
-    def test_main_keeps_threads_on_one_arena(self, monkeypatch, mallopt_calls):
-        monkeypatch.setattr(flowforge.cli.sys, "platform", "linux")
-        assert run(["validate", "seed=3"]) == 0
-        assert mallopt_calls == [(-8, 1)]   # M_ARENA_MAX = 1
-
-    def test_other_platforms_untouched(self, monkeypatch, mallopt_calls):
-        monkeypatch.setattr(flowforge.cli.sys, "platform", "darwin")
-        assert run(["validate", "seed=3"]) == 0
-        assert mallopt_calls == []
-
-    def test_libc_without_mallopt_is_tolerated(self, monkeypatch):
-        monkeypatch.setattr(flowforge.cli.sys, "platform", "linux")
-        monkeypatch.setattr(flowforge.cli.ctypes, "CDLL", lambda name: object())
-        assert run(["validate", "seed=3"]) == 0
 
 
 class TestAtomicWrites:

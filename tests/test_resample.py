@@ -119,6 +119,26 @@ class TestInterpolate:
                                         target.sample_positions(), kernel, fp)
         np.testing.assert_allclose(flat(field), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    @pytest.mark.parametrize("fp", [FootprintSpec("n_closest", k=4),
+                                    FootprintSpec("n_closest", k=8),
+                                    FootprintSpec("radius", radius=0.5)],
+                             ids=["k4", "k8", "r0.5"])
+    def test_equidistant_hole_fallback_matches_oracle(self, kind, fp):
+        # cell centres of a unit lattice: all 8 corners are equidistant, so
+        # linear weights vanish (k = 4, 8) or the ball is empty (r = 0.5),
+        # and the fallback must take the smallest-id nearest source
+        pts = lattice_sources(5, extent=4.0, seed=6)
+        target = GridSpec(origin=(0.5, 0.5, 0.5), spacing=(1, 1, 1),
+                          dims=(4, 4, 4))
+        kernel = KernelSpec(kind)
+        field, summary = interpolate(pts, target, kernel, fp)
+        expected, holes = brute_interpolate(pts.positions, pts.values,
+                                            target.sample_positions(),
+                                            kernel, fp)
+        np.testing.assert_allclose(flat(field), expected, atol=1e-12)
+        assert summary["holes"] == holes
+
     def test_unstructured_sources_against_oracle(self, rng):
         pos = rng.uniform(0, 10, size=(400, 3))
         pts = SourcePoints(pos, rng.normal(size=(400, 3)))
@@ -186,6 +206,12 @@ class TestInterpolate:
         assert field.values.ravel()[0] == pytest.approx(2.5)
 
 
+def smallest_id_nearest(index, targets):
+    """Each target's nearest source, equidistant ones breaking to the
+    smallest id (the k-d tree's own pick among them is arbitrary)."""
+    return _neighbor_sets_n_closest(index, targets, 1)[1][:, 0]
+
+
 def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
     """Neighbor search, weights and accumulation in one pass, the way
     ``interpolate`` computed them before the build/apply split.  The split
@@ -215,8 +241,7 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
         nearest = idx[rows, first]
         empty = ~valid[rows, first]
         if empty.any():
-            _, nn = index.query(targets[empty], k=[1], workers=1)
-            nearest[empty] = nn[:, 0]
+            nearest[empty] = smallest_id_nearest(index, targets[empty])
         return _to_field(values[nearest], target, n_comp), int(empty.sum())
 
     offsets = index.data[idx] - targets[:, None, :]
@@ -234,8 +259,7 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
     out[exact_hit] = anchor[exact_hit]
     rows = np.flatnonzero(~ok & ~exact_hit)
     if len(rows):
-        _, nn = index.query(targets[rows], k=[1], workers=1)
-        out[rows] = values[nn[:, 0]]
+        out[rows] = values[smallest_id_nearest(index, targets[rows])]
     return _to_field(out, target, n_comp), len(rows)
 
 
