@@ -27,7 +27,7 @@ from .errors import ArtifactIOError, ForgeError, StateError
 from .fields import (DenseField, GridSpec, export_npy, load_npy,
                      read_field_sidecar, write_field_sidecar)
 from .geometry import build_scene, draw_dimension, export_scene, read_stl
-from .geometry.export import read_scene_yaml, scene_sidecars
+from .geometry.export import read_scene_sidecar, scene_sidecars
 from .orchestrate import (BACKENDS, discover_pairs, materialize_case,
                           plan_lanes, read_index, read_manifest, submit,
                           synthetic_solver)
@@ -396,41 +396,23 @@ def _cmd_gate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _number(value) -> float | None:
-    """``value`` as a float; None when it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-
-
 def _cmd_validate(args) -> int:
     cfg = _resolve(args)
     digest = config_hash(cfg)
     problems = []
     if args.scenes:
+        lo, hi = cfg.sim_param_policy["re_band"]
         for path in scene_sidecars(args.scenes):
-            doc = read_scene_yaml(path)
-            sim = doc.get("simulation_parameters")
-            if not isinstance(sim, dict):
-                sim = {}    # reported below as no inlet velocity and no Re
-            u_x = _number(sim.get("inlet_velocity_x", -1))
-            re_ = _number(sim.get("Re", -1))
-            lo, hi = cfg.sim_param_policy["re_band"]
-            if u_x is None:
-                problems.append(f"{path.name}: non-numeric inlet_velocity_x")
-            elif u_x <= 0:
+            try:
+                scene = read_scene_sidecar(path)
+            except ArtifactIOError as exc:
+                problems.append(str(exc))
+                continue
+            if scene.sim["inlet_velocity_x"] <= 0:
                 problems.append(f"{path.name}: nonpositive inlet x-velocity")
-            if re_ is None:
-                problems.append(f"{path.name}: non-numeric Re")
-            elif not (lo <= re_ <= hi):
+            if not (lo <= scene.sim["Re"] <= hi):
                 problems.append(f"{path.name}: Re outside policy band")
-            for geom in doc.get("geometries", []):
-                try:
-                    pos_x = float(geom["pos_x"])
-                except (KeyError, TypeError, ValueError):
-                    problems.append(f"{path.name}: geometry without a numeric pos_x")
-                    continue
+            for _, (pos_x, _, _) in scene.objects:
                 if not (cfg.roi_x[0] <= pos_x <= cfg.roi_x[1]):
                     problems.append(f"{path.name}: centroid outside ROI")
     if problems:

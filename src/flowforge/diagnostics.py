@@ -19,7 +19,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ArtifactIOError, FieldError
-from .geometry.export import read_scene_yaml, scene_sidecars
+from .geometry.export import read_scene_sidecar, scene_sidecars
 
 DEFAULT_EPS_U = 1e-3
 DEFAULT_DELTA_PHI = 1e-2
@@ -226,34 +226,25 @@ def coverage_report(scene_dir, out_dir, roi_x=(146.0, 1800.0),
 
     families: list[str] = []
     centers: list[tuple[float, float, float]] = []
-    inlets: list[tuple[float, float, float, float]] = []
+    inlets: list[list[float]] = []
     res: list[float] = []
     re_by_family: dict[str, list[float]] = {}
     skipped = 0
 
     for path in paths:
-        # parse the whole scene first, so a skipped one leaves no rows behind
         try:
-            doc = read_scene_yaml(path)
-            sim = doc["simulation_parameters"]
-            scene_re = float(sim["Re"])
-            inlet = (float(sim["inlet_velocity_x"]),
-                     float(sim["inlet_velocity_y"]),
-                     float(sim["inlet_velocity_z"]),
-                     float(sim["vector_magnitude"]))
-            objects = [(str(geom["type"]),
-                        (float(geom["pos_x"]), float(geom["pos_y"]),
-                         float(geom["pos_z"])))
-                       for geom in doc["geometries"]]
-        except (KeyError, TypeError, ValueError, ArtifactIOError):
+            scene = read_scene_sidecar(path)
+        except ArtifactIOError:
             skipped += 1
             continue
-        inlets.append(inlet)
-        res.append(scene_re)
-        for family, center in objects:
+        sim = scene.sim
+        inlets.append([sim[f"inlet_velocity_{axis}"] for axis in "xyz"]
+                      + [sim["vector_magnitude"]])
+        res.append(sim["Re"])
+        for family, center in scene.objects:
             families.append(family)
             centers.append(center)
-            re_by_family.setdefault(family, []).append(scene_re)
+            re_by_family.setdefault(family, []).append(sim["Re"])
 
     if not families:
         raise ArtifactIOError(f"no parseable scene sidecars under {scene_dir}")

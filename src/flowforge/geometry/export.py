@@ -2,13 +2,17 @@
 
 Accepted objects are pairwise disjoint with positive clearance, so the
 fused obstacle set is the plain concatenation of the per-object watertight
-meshes; no boolean CSG is needed.  Sidecar values are emitted as numbers;
-the reader also tolerates quoted-number styles from other toolchains.
+meshes; no boolean CSG is needed.  Sidecar values are emitted as numbers.
+``read_scene_sidecar`` is the one reader of a scene sidecar: it converts
+each value the later stages use to its type once, and for numeric keys it
+also accepts the quoted-number styles of other toolchains.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import ArtifactIOError, GeometryError
 from ..yamlio import read_yaml, write_yaml
@@ -118,31 +122,84 @@ def export_scene(scene: Scene, out_dir, prefix: str, index: int,
 
 
 # ---------------------------------------------------------------------------
-# Reading sidecars back (tolerant of quoted-number styles)
+# Reading sidecars back
 # ---------------------------------------------------------------------------
-def _coerce(value):
-    if isinstance(value, dict):
-        return {k: _coerce(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_coerce(v) for v in value]
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            return value
-    return value
+# the simulation parameters the later stages read back and their types; a
+# sidecar may leave out those of _SIM_MAY_OMIT, which orchestrate defaults
+_SIM_TYPES = {"LU": float, "dx": int, "Re": float, "refinement_parameter": int,
+              **{f"inlet_velocity_{axis}": float for axis in "xyz"},
+              **{f"periodicity_{axis}": int for axis in "xyz"},
+              "vector_magnitude": float, "omega": float, "tau": float,
+              "mach_inlet": float, "mach_ok_inlet": bool,
+              "mach_ok_global": bool, "job_identifier_": str}
+_SIM_MAY_OMIT = ("omega", "tau", "mach_inlet", "mach_ok_inlet",
+                 "mach_ok_global", "job_identifier_")
+_GEOMETRY_TYPES = {"type": str, **{f"pos_{axis}": float for axis in "xyz"}}
 
 
-def read_scene_yaml(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ArtifactIOError(f"scene sidecar not found: {path}")
-    raw = read_yaml(path)
-    if not isinstance(raw, dict):
-        raise ArtifactIOError(f"scene sidecar {path} is not a mapping")
-    return _coerce(raw)
+class SceneSidecar(NamedTuple):
+    """A scene sidecar as the later stages read it: ``sim`` maps each
+    simulation parameter present to its typed value, and ``objects`` holds
+    one ``(type, (pos_x, pos_y, pos_z))`` per geometry."""
+    sim: dict
+    objects: list
+
+
+def _typed(value, kind):
+    """``value`` as ``kind``, None when it is not one.  A number may be
+    quoted but must be finite, an int must be integral, and a bool is no
+    number."""
+    if kind in (bool, str) or isinstance(value, bool):
+        return value if type(value) is kind else None
+    if kind is int and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # int() truncates: a sidecar's 16.7 must not become a silent 16
+    if not math.isfinite(number) or kind is int and not number.is_integer():
+        return None
+    return kind(number)
+
+
+def _checked(block, where: str, types: dict, may_omit=()) -> dict:
+    """The values of ``types``' keys in the mapping ``block``, each as its
+    type; the ArtifactIOError names ``where`` and the key."""
+    if not isinstance(block, dict):
+        raise ArtifactIOError(f"{where}: expected a mapping, got {block!r}")
+    typed = {}
+    for key, kind in types.items():
+        if key not in block:
+            if key in may_omit:
+                continue
+            raise ArtifactIOError(f"{where}.{key} is missing")
+        typed[key] = _typed(block[key], kind)
+        if typed[key] is None:
+            raise ArtifactIOError(f"{where}.{key}: expected {kind.__name__}, "
+                                  f"got {block[key]!r}")
+    return typed
+
+
+def read_scene_sidecar(path) -> SceneSidecar:
+    """The typed record of a scene sidecar, as ``validate --scenes``,
+    ``orchestrate`` and ``report`` read it.  ArtifactIOError names the file
+    and the first missing or malformed key."""
+    where = f"scene sidecar {path}"
+    try:
+        doc = read_yaml(path)
+    except (OSError, ArtifactIOError) as exc:
+        raise ArtifactIOError(f"{where}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArtifactIOError(f"{where}: expected a mapping, got {doc!r}")
+    sim = _checked(doc.get("simulation_parameters"),
+                   f"{where}: simulation_parameters", _SIM_TYPES, _SIM_MAY_OMIT)
+    geometries = doc.get("geometries")
+    if not isinstance(geometries, list):
+        raise ArtifactIOError(f"{where}: geometries: expected a list, got "
+                              f"{geometries!r}")
+    objects = []
+    for i, geom in enumerate(geometries):
+        geom = _checked(geom, f"{where}: geometries[{i}]", _GEOMETRY_TYPES)
+        objects.append((geom.pop("type"), tuple(geom.values())))
+    return SceneSidecar(sim, objects)

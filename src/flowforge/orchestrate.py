@@ -38,7 +38,7 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import ArtifactIOError, OrchestrationError
 from .fields import GridSpec, export_npy, load_npy, write_field_sidecar
-from .geometry.export import read_scene_yaml, scene_sidecars
+from .geometry.export import read_scene_sidecar, scene_sidecars
 from .yamlio import dumps, read_yaml, write_yaml
 
 _PLACEHOLDER_RE = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)@")
@@ -58,14 +58,6 @@ REFINED_EXECUTABLE = "ComplexGeometry_withRefinement"
 REFINED_TEMPLATE = "D3Q27_cumulant_test_stability_cube_100_1.conf"
 
 _PACKAGED_TEMPLATES = Path(__file__).parent / "templates"
-
-# the simulation parameters a case reads from its scene sidecar and their
-# types; materialize_case defaults the optional ones
-_SIM_TYPES = {"LU": float, "dx": int, "Re": float, "refinement_parameter": int,
-              **{f"inlet_velocity_{axis}": float for axis in "xyz"},
-              **{f"periodicity_{axis}": int for axis in "xyz"},
-              "omega": float, "tau": float, "mach_inlet": float}
-_SIM_OPTIONAL = ("omega", "tau", "mach_inlet")
 
 
 def select_executable(refinement_parameter: int) -> tuple[str, str]:
@@ -164,29 +156,6 @@ def read_manifest(case_dir) -> dict:
     return read_yaml(path)
 
 
-def _read_sim_parameters(yaml_path: Path) -> dict:
-    """The sidecar's simulation parameters, each converted to its type;
-    ArtifactIOError names the file and a missing or malformed key."""
-    sim = read_scene_yaml(yaml_path).get("simulation_parameters")
-    sim = dict(sim) if isinstance(sim, dict) else {}
-    for key, kind in _SIM_TYPES.items():
-        where = f"scene sidecar {yaml_path}: simulation_parameters.{key}"
-        if key in sim:
-            raw = sim[key]
-            try:
-                sim[key] = kind(raw)
-            except (TypeError, ValueError, OverflowError):
-                sim[key] = None
-            # int() truncates: a sidecar's 16.7 must not become a silent 16
-            if sim[key] is None or (kind is int and isinstance(raw, float)
-                                    and sim[key] != raw):
-                raise ArtifactIOError(f"{where}: expected {kind.__name__}, "
-                                      f"got {raw!r}")
-        elif key not in _SIM_OPTIONAL:
-            raise ArtifactIOError(f"{where} is missing")
-    return sim
-
-
 def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                      sdf_stem=None, force: bool = False) -> CaseRecord:
     """Create (or reuse) the self-contained run directory for one case."""
@@ -226,7 +195,7 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                     shutil.move(str(src), archive / name)
 
     # a malformed sidecar fails before the case directory exists
-    sim = _read_sim_parameters(yaml_path)
+    sim = read_scene_sidecar(yaml_path).sim
     case_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(case_dir / "geometry.stl", stl_bytes)
 
@@ -309,8 +278,8 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
         },
         "re_target": sim["Re"],
         "mach": {"inlet": sim.get("mach_inlet", 0.0),
-                 "ok_inlet": bool(sim.get("mach_ok_inlet", True)),
-                 "ok_global": bool(sim.get("mach_ok_global", True))},
+                 "ok_inlet": sim.get("mach_ok_inlet", True),
+                 "ok_global": sim.get("mach_ok_global", True)},
         "relaxation": {"tau": tau, "omega": omega},
         "inlet_profile": "uniform",
         "inlet_velocity": [sim[f"inlet_velocity_{axis}"] for axis in "xyz"],

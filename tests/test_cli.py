@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -50,6 +51,32 @@ def pipeline(tmp_path_factory):
                 "--out", report]) == 0
     return {"root": root, "scenes": scenes, "sdf": sdf, "cases": cases,
             "tensors": tensors, "report": report}
+
+
+DELETE = object()
+
+
+def edited_scenes(pipeline, tmp_path, value, *keys):
+    """A copy of the pipeline's scenes whose first sidecar has the value at
+    ``keys`` set to ``value`` (deleted for DELETE); with no ``keys`` the
+    sidecar is left unparseable.  Returns the scenes dir and that sidecar."""
+    scenes = tmp_path / "scenes"
+    shutil.copytree(pipeline["scenes"], scenes)
+    sidecar = scenes / "object_0.yaml"
+    if not keys:
+        sidecar.write_text(sidecar.read_text() + "status: [\n")
+        return scenes, sidecar
+    doc = yaml.safe_load(sidecar.read_text())
+    *parents, last = keys
+    block = doc
+    for key in parents:
+        block = block[key]
+    if value is DELETE:
+        del block[last]
+    else:
+        block[last] = value
+    sidecar.write_text(yaml.safe_dump(doc))
+    return scenes, sidecar
 
 
 @pytest.fixture(scope="module")
@@ -244,15 +271,10 @@ class TestOrchestrate:
     def orchestrate_edited(pipeline, tmp_path, key, value):
         """A dry run over the scenes with the first sidecar's ``key`` set to
         ``value`` (deleted when None): exit code, sidecar and cases dir."""
-        scenes, cases = tmp_path / "scenes", tmp_path / "cases"
-        shutil.copytree(pipeline["scenes"], scenes)
-        sidecar = scenes / "object_0.yaml"
-        doc = yaml.safe_load(sidecar.read_text())
-        if value is None:
-            del doc["simulation_parameters"][key]
-        else:
-            doc["simulation_parameters"][key] = value
-        sidecar.write_text(yaml.safe_dump(doc))
+        scenes, sidecar = edited_scenes(
+            pipeline, tmp_path, DELETE if value is None else value,
+            "simulation_parameters", key)
+        cases = tmp_path / "cases"
         code = run(["orchestrate", *SMALL_OVERRIDES, "--scenes", scenes,
                     "--sdf", pipeline["sdf"], "--out", cases,
                     "--backend", "dry_run"])
@@ -509,13 +531,15 @@ class TestValidate:
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 1
         err = capsys.readouterr().err
-        assert "validate: object_1.yaml: geometry without a numeric pos_x" in err
+        assert (f"validate: scene sidecar {path}: geometries[0].pos_x is "
+                "missing") in err
 
     @pytest.mark.parametrize("key, value, problem", [
-        ("Re", "high", "non-numeric Re"),
-        ("inlet_velocity_x", "fast", "non-numeric inlet_velocity_x"),
-        (None, "none", "nonpositive inlet x-velocity"),
-    ])
+        ("Re", "high", "simulation_parameters.Re: expected float, got 'high'"),
+        ("inlet_velocity_x", "fast",
+         "simulation_parameters.inlet_velocity_x: expected float, got 'fast'"),
+        (None, "none", "simulation_parameters: expected a mapping, got 'none'"),
+    ], ids=["Re-high", "inlet_velocity_x-fast", "None-none"])
     def test_non_numeric_sim_parameter_is_a_problem(self, pipeline, tmp_path,
                                                     capsys, key, value,
                                                     problem):
@@ -530,7 +554,7 @@ class TestValidate:
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
         assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 1
         err = capsys.readouterr().err
-        assert f"validate: object_1.yaml: {problem}" in err
+        assert f"validate: scene sidecar {path}: {problem}" in err
 
     @pytest.mark.parametrize("override, problem", [
         ("shapes.wedge.length=null", "shapes.wedge.length"),
@@ -595,6 +619,92 @@ class TestValidate:
         # the resample stage rejects a radius footprint without a radius
         assert run(["validate", "resample_policy.footprint=radius"]) == 1
         assert "resample_policy: radius footprint" in capsys.readouterr().err
+
+
+SIM = "simulation_parameters"
+
+# malformed first sidecars: (value, key path, the problem every stage names)
+MALFORMED_SIDECARS = {
+    "LU-deleted": (DELETE, (SIM, "LU"), f"{SIM}.LU is missing"),
+    "Re-high": ("high", (SIM, "Re"), f"{SIM}.Re: expected float, got 'high'"),
+    "dx-16.7": (16.7, (SIM, "dx"), f"{SIM}.dx: expected int, got 16.7"),
+    "Re-nan": (math.nan, (SIM, "Re"), f"{SIM}.Re: expected float, got nan"),
+    "Re-true": (True, (SIM, "Re"), f"{SIM}.Re: expected float, got True"),
+    "mach_ok_inlet-quoted": ("false", (SIM, "mach_ok_inlet"),
+                             f"{SIM}.mach_ok_inlet: expected bool, "
+                             "got 'false'"),
+    "geometries-5": (5, ("geometries",), "geometries: expected a list, got 5"),
+    "geometries-null": (None, ("geometries",),
+                        "geometries: expected a list, got None"),
+    "pos_y-deleted": (DELETE, ("geometries", 0, "pos_y"),
+                      "geometries[0].pos_y is missing"),
+    "block-none": ("none", (SIM,), f"{SIM}: expected a mapping, got 'none'"),
+    "unparseable": (None, (), "unparseable YAML"),
+}
+
+
+class TestSidecarAcrossStages:
+    """validate, orchestrate and report read a scene sidecar through one
+    reader, so they agree on which sidecars are malformed and why."""
+
+    @pytest.mark.parametrize("value, keys, problem",
+                             MALFORMED_SIDECARS.values(),
+                             ids=MALFORMED_SIDECARS.keys())
+    def test_malformed_rejected_by_every_stage(self, pipeline, tmp_path,
+                                               capsys, value, keys, problem):
+        scenes, sidecar = edited_scenes(pipeline, tmp_path, value, *keys)
+        where = f"scene sidecar {sidecar}: {problem}"
+        # validate names it in one problem line
+        assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validate: {where}")
+        assert err.count("validate: ") == 1
+        # orchestrate stops before the case directory exists
+        cases = tmp_path / "cases"
+        assert run(["orchestrate", *SMALL_OVERRIDES, "--scenes", scenes,
+                    "--out", cases, "--backend", "dry_run"]) == 2
+        assert f"forge orchestrate: {where}" in capsys.readouterr().err
+        assert not [p for p in cases.iterdir() if p.is_dir()]
+        # report skips it
+        assert run(["report", *SMALL_OVERRIDES, "--scenes", scenes,
+                    "--out", tmp_path / "report"]) == 0
+        out = capsys.readouterr().out
+        assert "report: 1 scene(s)" in out and ", 1 skipped," in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda sim: sim.update(dx=16.0),
+        lambda sim: sim.update({key: str(value) for key, value in sim.items()
+                                if type(value) in (int, float)}),
+    ], ids=["dx-16.0", "quoted-numbers"])
+    def test_same_values_in_another_style_pass_every_stage(
+            self, pipeline, tmp_path, capsys, edit):
+        sim = yaml.safe_load(
+            (pipeline["scenes"] / "object_0.yaml").read_text())[SIM]
+        edit(sim)
+        scenes, _ = edited_scenes(pipeline, tmp_path, sim, SIM)
+        assert run(["validate", *SMALL_OVERRIDES, "--scenes", scenes]) == 0
+        # the cases get the parameters of the unedited sidecars
+        cases = tmp_path / "cases"
+        assert run(["orchestrate", *SMALL_OVERRIDES, "--scenes", scenes,
+                    "--out", cases, "--backend", "dry_run"]) == 0
+        physics = ("grid", "bc_policy", "re_target", "mach", "relaxation",
+                   "inlet_velocity", "executable", "template")
+
+        def parameters(root):
+            return {m["source"]["yaml"]: [m[key] for key in physics]
+                    for m in map(yaml.safe_load,
+                                 map(Path.read_text,
+                                     root.glob("*/manifest.yaml")))}
+        assert parameters(cases) == parameters(pipeline["cases"])
+        # and the report the same tables
+        report = tmp_path / "report"
+        assert run(["report", *SMALL_OVERRIDES, "--scenes", scenes,
+                    "--out", report]) == 0
+        assert ", 0 skipped," in capsys.readouterr().out
+
+        def tables(root):
+            return {p.name: p.read_bytes() for p in root.glob("*.csv")}
+        assert tables(report) == tables(pipeline["report"])
 
 
 class TestAtomicWrites:

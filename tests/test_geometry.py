@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import sphere_sector_volume
 from flowforge.config import config_hash, resolve_config
-from flowforge.errors import GeometryError
+from flowforge.errors import ArtifactIOError, GeometryError
 from flowforge.geometry import (analytic_volume, build_scene,
                                 draw_dimension, export_scene,
-                                pick_family, read_scene_yaml, read_stl,
+                                pick_family, read_stl,
                                 sample_pose, sample_shape, stl_bytes,
                                 tessellate, validate_candidate)
+from flowforge.geometry.export import _SIM_TYPES, read_scene_sidecar
 from flowforge.geometry.mesh import TriMesh, concatenate
 from flowforge.geometry.scene import Pose, _context_entry, random_quaternion
 from flowforge.sampling import GeneratorState, freeze_dimension
@@ -413,13 +415,16 @@ class TestExport:
             blobs.append((stl.read_bytes(), yml.read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_sidecar_schema_and_coercion(self, small_cfg, tmp_path):
+    @pytest.fixture
+    def sidecar(self, small_cfg, tmp_path):
         state = GeneratorState(mode="sobol", seed=4)
         freeze_dimension(state, draw_dimension(small_cfg.data))
         scene = build_scene(small_cfg, state)
-        _, yml = export_scene(scene, tmp_path, "object", 0, False, small_cfg,
-                              config_hash(small_cfg))
-        doc = read_scene_yaml(yml)
+        return export_scene(scene, tmp_path, "object", 0, False, small_cfg,
+                            config_hash(small_cfg))[1]
+
+    def test_sidecar_schema_and_coercion(self, sidecar):
+        doc = yaml.safe_load(sidecar.read_text())
         sim = doc["simulation_parameters"]
         for key in ("LU", "Re", "dx", "inlet_velocity_x", "inlet_velocity_y",
                     "inlet_velocity_z", "job_identifier_", "periodicity_x",
@@ -430,13 +435,37 @@ class TestExport:
         for key in ("type", "pos_x", "pos_y", "pos_z", "dir_vec_x",
                     "dir_vec_y", "dir_vec_z"):
             assert key in geom
-        # reader tolerates quoted-string numbers
-        quoted = tmp_path / "quoted.yaml"
-        quoted.write_text("simulation_parameters:\n  Re: '2813.17'\n"
-                          "  periodicity_y: '1'\n")
-        coerced = read_scene_yaml(quoted)
-        assert coerced["simulation_parameters"]["Re"] == 2813.17
-        assert coerced["simulation_parameters"]["periodicity_y"] == 1
+        # the reader reads back every parameter it knows, as written
+        record = read_scene_sidecar(sidecar)
+        assert record.sim == {key: sim[key] for key in _SIM_TYPES}
+        assert record.objects == [
+            (geom["type"], (geom["pos_x"], geom["pos_y"], geom["pos_z"]))]
+        # and accepts quoted numbers in a full sidecar
+        sim.update(Re="2813.17", periodicity_y="1")
+        sidecar.write_text(yaml.safe_dump(doc))
+        assert "Re: '2813.17'" in sidecar.read_text()
+        coerced = read_scene_sidecar(sidecar).sim
+        assert coerced["Re"] == 2813.17
+        assert coerced["periodicity_y"] == 1
+        assert type(coerced["periodicity_y"]) is int
+
+    @pytest.mark.parametrize("key, value", [
+        ("Re", True), ("dx", False), ("LU", math.nan), ("Re", math.inf),
+        ("tau", -math.inf), ("Re", "nan"), ("inlet_velocity_x", "1e999"),
+        ("dx", 16.7), ("dx", "16.5"), ("mach_ok_global", 0),
+        ("job_identifier_", 7),
+    ])
+    def test_reader_rejects_bool_non_finite_and_fractional(self, sidecar,
+                                                           key, value):
+        doc = yaml.safe_load(sidecar.read_text())
+        doc["simulation_parameters"][key] = value
+        sidecar.write_text(yaml.safe_dump(doc))
+        kind = _SIM_TYPES[key].__name__
+        with pytest.raises(ArtifactIOError) as info:
+            read_scene_sidecar(sidecar)
+        assert str(info.value) == (
+            f"scene sidecar {sidecar}: simulation_parameters.{key}: "
+            f"expected {kind}, got {value!r}")
 
     def test_roundtrip_stl_concatenated(self, small_cfg, tmp_path):
         cfg = resolve_config(base_dict={**small_cfg.data,
