@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ini", default=None,
-                   help="classic INI settings file (overrides the policy block)")
+                   help="classic INI resampler settings, under the overrides")
 
     p = sub.add_parser("report", help="coverage CSV tables from scene sidecars")
     common(p)
@@ -120,7 +120,8 @@ def _resolve(args) -> ResolvedConfig:
         overrides.append(f"sdf_policy.dx={args.dx}")
     if getattr(args, "band", None) is not None:
         overrides.append(f"sdf_policy.band_w={args.band}")
-    return resolve_config(getattr(args, "config", None), overrides)
+    return resolve_config(getattr(args, "config", None), overrides,
+                          ini_file=getattr(args, "ini", None))
 
 
 def _recorded_count(path: Path) -> int:
@@ -284,12 +285,7 @@ def _cmd_resample(args) -> int:
 
     policy = cfg.resample_policy
     box = cfg.bounding_box
-    if args.ini:
-        from .resample import read_ini_config
-        ini = read_ini_config(args.ini)
-        target, kernel, footprint = ini["target"], ini["kernel"], ini["footprint"]
-    else:
-        target, kernel, footprint = resample_specs(policy, box.mins, box.extents)
+    target, kernel, footprint = resample_specs(policy, box.mins, box.extents)
 
     def write_components(stem_path: Path, suffix: str, values: np.ndarray):
         if policy["split_components"] and values.ndim == 4:
@@ -365,8 +361,10 @@ def _cmd_report(args) -> int:
         cross_range=(box.y_min, box.y_max),
         re_band=tuple(cfg.sim_param_policy["re_band"]))
     write_provenance(cfg, out_dir, summary["scenes"])
+    for problem in summary["skipped"]:
+        print(f"report: {problem}", file=sys.stderr)
     print(f"report: {summary['scenes']} scene(s), {summary['objects']} "
-          f"object(s), {summary['skipped']} skipped, tables in {out_dir}")
+          f"object(s), {len(summary['skipped'])} skipped, tables in {out_dir}")
     return 0
 
 

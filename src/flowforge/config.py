@@ -1,10 +1,11 @@
 """Single hierarchical configuration governing every pipeline stage.
 
-A base YAML file is merged over built-in defaults, ``key.path=value``
-overrides are merged last (each like the file block ``key: {path: value}``),
-``${dotted.path}`` references are resolved, and the result is validated
-against a strict schema (unknown keys are rejected so typos surface
-immediately -- provenance depends on configs being exact).
+A base YAML file is merged over built-in defaults, then a classic INI
+resampler file, and ``key.path=value`` overrides are merged last (each
+like the file block ``key: {path: value}``), ``${dotted.path}``
+references are resolved, and the result is validated against a strict
+schema (unknown keys are rejected so typos surface immediately --
+provenance depends on configs being exact).
 
 Hashing uses a canonical serialization: keys sorted at every level, floats
 rendered in shortest round-trip form, no insignificant whitespace.  Two
@@ -17,6 +18,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from .atomic import atomic_write
 from .errors import ArtifactIOError, ConfigError, FieldError
 from .fields import GridSpec
 from .orchestrate import BACKENDS
-from .resample import resample_specs
+from .resample import DEFAULT_K, KERNEL_KINDS, resample_specs
 from .yamlio import YAMLError, loads, read_yaml, write_yaml
 
 FAMILIES = ("cone", "cuboid", "cylinder", "sphere", "torus", "wedge")
@@ -254,6 +256,62 @@ def _normalize_legacy(user: dict) -> dict:
     return user
 
 
+def _read_ini(path) -> dict:
+    """The ``resample_policy`` (but ``prefilter`` and ``split_components``)
+    and ``bounding_box`` blocks that a classic INI resampler file means, as
+    README "INI resampler settings" maps them.  A kernel key the file omits
+    takes its built-in default, and ``num_neighbours`` the fixed
+    ``DEFAULT_K``, so no earlier layer's value leaks into an INI run."""
+    import configparser  # only an --ini run reads one
+
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+    def setting(section: str, key: str, convert=str, default=None):
+        raw = parser.get(section, key, fallback=None)
+        if raw is None and default is None:
+            raise ConfigError(f"{path}: [{section}] {key} is missing")
+        try:
+            return default if raw is None else convert(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+
+    # Linear_Kernel ... Ellipsoidal_Gaussian_Kernel
+    kinds = {f"{kind.title()}_Kernel": kind for kind in KERNEL_KINDS}
+    name = setting("interpolation", "kernel")
+    if name not in kinds:
+        raise ConfigError(f"{path}: [interpolation] kernel: unknown kernel {name!r}")
+    policy = copy.deepcopy(_DEFAULTS["resample_policy"])
+    del policy["prefilter"], policy["split_components"]
+    policy["kernel"] = kinds[name]
+    for key in ("sharpness", "power"):
+        policy[key] = setting(name, key, float, policy[key])
+    ratios = setting(name, "eccentricity",
+                     lambda text: [float(part) for part in text.split(",")],
+                     policy["eccentricity"])
+    # one ratio means three equal ones; any other count goes on to _validate
+    policy["eccentricity"] = ratios * 3 if len(ratios) == 1 else ratios
+    footprint = setting(name, "kernel_footprint", default="N Closest")
+    if footprint.lower().startswith("n"):
+        policy["num_neighbours"] = setting(name, "num_neighbours", int, DEFAULT_K)
+    else:
+        policy["footprint"] = "radius"
+        policy["radius"] = setting(name, "radius", float)
+    policy["cells"] = [setting("gridsize", f"num_cells_{a}", int) for a in "xyz"]
+
+    box = {}
+    for axis in "xyz":
+        origin = setting("gridsize", f"origin_{axis}", float, 0.0)
+        box[f"{axis}_min"] = origin
+        box[f"{axis}_max"] = origin + setting("gridsize", f"scale_{axis}", float)
+    return {"resample_policy": policy, "bounding_box": box}
+
+
 # ---------------------------------------------------------------------------
 # Typed views
 # ---------------------------------------------------------------------------
@@ -428,7 +486,11 @@ def _require(cond: bool, message: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that is a finite float; a bool is no number."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):    # not a number, or past float range
+        return False
 
 
 def _is_int(value) -> bool:
@@ -593,12 +655,14 @@ def _validate(data: dict):
 # Public API
 # ---------------------------------------------------------------------------
 def resolve_config(base_file=None, override_list: list[str] | None = None,
-                   base_dict: dict | None = None) -> ResolvedConfig:
+                   base_dict: dict | None = None,
+                   ini_file=None) -> ResolvedConfig:
     """Load, merge, interpolate, and validate the configuration.
 
     ``base_file`` may be omitted to start from built-in defaults;
-    ``base_dict`` supports in-memory configs (tests, embedding).
-    Overrides are ``key.path=value`` strings merged last, in order.
+    ``base_dict`` supports in-memory configs (tests, embedding).  The
+    blocks of a classic INI resampler file (:func:`_read_ini`) merge over
+    the file, and ``key.path=value`` overrides merge last, in order.
     """
     user = base_dict or {}  # _normalize_legacy copies it
     if base_file is not None:
@@ -612,6 +676,8 @@ def resolve_config(base_file=None, override_list: list[str] | None = None,
             raise ConfigError(f"{path}: top level must be a mapping")
 
     merged = _merge(_DEFAULTS, _normalize_legacy(user))
+    if ini_file is not None:
+        merged = _merge(merged, _read_ini(ini_file))
 
     # `a.b=v` merges exactly like the file block `a: {b: v}`, except that a
     # dotted `shape_mix.<family>=w` sets one weight of the current mix
@@ -624,7 +690,16 @@ def resolve_config(base_file=None, override_list: list[str] | None = None,
         merged = _merge(merged, _normalize_legacy(value))
 
     merged = _resolve_interpolations(merged)
-    _validate(merged)
+    try:
+        _validate(merged)
+    except ConfigError as exc:
+        if ini_file is None:
+            raise
+        try:  # the INI file is named when the config resolves without it
+            resolve_config(base_file, override_list, base_dict)
+        except ConfigError:
+            raise exc from None
+        raise ConfigError(f"{ini_file}: {exc}") from exc
 
     # resolve derived defaults so the frozen snapshot is self-contained
     if merged["clearance"] is None:

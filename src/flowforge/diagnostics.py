@@ -215,7 +215,7 @@ def coverage_report(scene_dir, out_dir, roi_x=(146.0, 1800.0),
                     cross_range=(0.0, 512.0),
                     re_band=(100.0, 15000.0)) -> dict:
     """Parse every scene sidecar under ``scene_dir`` (sorted) and emit the
-    coverage CSV tables.  Unparseable sidecars are skipped and counted."""
+    coverage CSV tables; ``skipped`` holds the reader's message per bad one."""
     scene_dir = Path(scene_dir)
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -229,13 +229,13 @@ def coverage_report(scene_dir, out_dir, roi_x=(146.0, 1800.0),
     inlets: list[list[float]] = []
     res: list[float] = []
     re_by_family: dict[str, list[float]] = {}
-    skipped = 0
+    skipped: list[str] = []
 
     for path in paths:
         try:
             scene = read_scene_sidecar(path)
-        except ArtifactIOError:
-            skipped += 1
+        except ArtifactIOError as exc:
+            skipped.append(str(exc))
             continue
         sim = scene.sim
         inlets.append([sim[f"inlet_velocity_{axis}"] for axis in "xyz"]

@@ -181,13 +181,13 @@ def _checked(block, where: str, types: dict, may_omit=()) -> dict:
     return typed
 
 
-def read_scene_sidecar(path) -> SceneSidecar:
-    """The typed record of a scene sidecar, as ``validate --scenes``,
-    ``orchestrate`` and ``report`` read it.  ArtifactIOError names the file
-    and the first missing or malformed key."""
+def read_scene_sidecar(path, data: bytes | None = None) -> SceneSidecar:
+    """The typed record of a scene sidecar (from ``data``, its bytes, when
+    given), as ``validate --scenes``, ``orchestrate`` and ``report`` read it.
+    ArtifactIOError names the file and the first missing or malformed key."""
     where = f"scene sidecar {path}"
     try:
-        doc = read_yaml(path)
+        doc = read_yaml(path, data)
     except (OSError, ArtifactIOError) as exc:
         raise ArtifactIOError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -194,8 +194,9 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
                 if src.exists():
                     shutil.move(str(src), archive / name)
 
-    # a malformed sidecar fails before the case directory exists
-    sim = read_scene_sidecar(yaml_path).sim
+    # a malformed sidecar fails before the case directory exists; its
+    # parameters come from the bytes that made the case id
+    sim = read_scene_sidecar(yaml_path, yaml_bytes).sim
     case_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(case_dir / "geometry.stl", stl_bytes)
 

@@ -24,23 +24,16 @@ Normalized weights reproduce constant fields exactly for every
 kernel/footprint combination.  When all weights vanish (or a radius
 footprint is empty) the sample falls back to the value of the nearest
 source and is counted as a hole in the summary.
-
-Besides the YAML policy block, the classic INI layout is accepted
-(:func:`read_ini_config`) with its historical key names: ``kernel``,
-``kernel_footprint``, ``num_neighbours``, ``radius``, ``num_cells_x/y/z``,
-``origin_*``, ``scale_*``, ``field_N``, ``output_npy``.
 """
 
 from __future__ import annotations
 
-import configparser
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactIOError, FieldError
+from .errors import FieldError
 from .fields import DenseField, GridSpec, tensor_bytes  # noqa: F401 (re-export)
 
 KERNEL_KINDS = ("linear", "gaussian", "shepard", "voronoi", "ellipsoidal_gaussian")
@@ -444,75 +437,3 @@ def box_prefilter(field: DenseField, target: GridSpec) -> DenseField:
             for c in range(3)])
     return DenseField(field.grid, smoothed)
 
-
-# ---------------------------------------------------------------------------
-# Classic INI configuration layout
-# ---------------------------------------------------------------------------
-_INI_KERNELS = {
-    "Linear_Kernel": "linear",
-    "Gaussian_Kernel": "gaussian",
-    "Shepard_Kernel": "shepard",
-    "Voronoi_Kernel": "voronoi",
-    "Ellipsoidal_Gaussian_Kernel": "ellipsoidal_gaussian",
-}
-
-
-def read_ini_config(path) -> dict:
-    """Parse the legacy INI layout into kernel/footprint/grid settings.
-
-    Returns a dict with keys ``kernel`` (KernelSpec), ``footprint``
-    (FootprintSpec), ``target`` (GridSpec), ``fields`` (ordered component
-    names), and ``output_npy`` (bool).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ArtifactIOError(f"INI config not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path, encoding="utf-8")
-
-    if not parser.has_section("interpolation"):
-        raise FieldError(f"{path}: missing [interpolation] section")
-    kernel_name = parser.get("interpolation", "kernel").strip()
-    if kernel_name not in _INI_KERNELS:
-        raise FieldError(f"{path}: unknown kernel {kernel_name!r}")
-    kind = _INI_KERNELS[kernel_name]
-
-    ksec = parser[kernel_name] if parser.has_section(kernel_name) else {}
-    kwargs = {}
-    if "sharpness" in ksec:
-        kwargs["sharpness"] = float(ksec["sharpness"])
-    if "power" in ksec:
-        kwargs["power"] = float(ksec["power"])
-    if "eccentricity" in ksec:
-        parts = [float(v) for v in ksec["eccentricity"].split(",")]
-        kwargs["eccentricity"] = tuple(parts) if len(parts) == 3 \
-            else (parts[0],) * 3
-    kernel = KernelSpec(kind, **kwargs)
-
-    footprint_name = str(ksec.get("kernel_footprint", "N Closest")).strip()
-    if footprint_name.lower().startswith("n"):
-        footprint = FootprintSpec("n_closest",
-                                  k=int(ksec.get("num_neighbours", DEFAULT_K)))
-    else:
-        footprint = FootprintSpec("radius", radius=float(ksec["radius"]))
-
-    if not parser.has_section("gridsize"):
-        raise FieldError(f"{path}: missing [gridsize] section")
-    gsec = parser["gridsize"]
-    cells = tuple(int(gsec[f"num_cells_{a}"]) for a in "xyz")
-    origin = tuple(float(gsec.get(f"origin_{a}", 0.0)) for a in "xyz")
-    extent = tuple(float(gsec[f"scale_{a}"]) for a in "xyz")
-    target = make_target_grid(origin, extent, cells)
-
-    fields = []
-    if parser.has_section("output"):
-        osec = parser["output"]
-        n_fields = int(osec.get("num_fields", 0))
-        fields = [osec[f"field_{i}"].strip() for i in range(1, n_fields + 1)
-                  if f"field_{i}" in osec]
-        output_npy = bool(int(osec.get("output_npy", 1)))
-    else:
-        output_npy = True
-
-    return {"kernel": kernel, "footprint": footprint, "target": target,
-            "fields": fields, "output_npy": output_npy}

@@ -28,18 +28,21 @@ def dumps(obj, sort_keys: bool = True) -> str:
     return yaml.dump(obj, Dumper=_DUMPER, sort_keys=sort_keys)
 
 
-def read_yaml(path):
-    """The value of the YAML document in ``path``; None when it is empty.
+def read_yaml(path, data: bytes | None = None):
+    """The value of the YAML document in ``path``, or in ``data`` when the
+    caller has read its bytes already; None when it is empty.
 
     A parse failure, invalid UTF-8 included, raises ArtifactIOError from the
-    YAMLError, whose mark names the file and line.  The loader decodes the
-    bytes itself, so that its mark also covers decoding errors.
+    YAMLError, whose mark names the line (and the file, if read here).  The
+    loader decodes the bytes itself, so its mark also covers decoding errors.
     """
-    with Path(path).open("rb") as stream:
-        try:
+    try:
+        if data is not None:
+            return yaml.load(data, Loader=_LOADER)
+        with Path(path).open("rb") as stream:
             return yaml.load(stream, Loader=_LOADER)
-        except YAMLError as exc:
-            raise ArtifactIOError(f"unparseable YAML: {exc}") from exc
+    except YAMLError as exc:
+        raise ArtifactIOError(f"unparseable YAML: {exc}") from exc
 
 
 def write_yaml(path, obj, sort_keys: bool = True) -> Path:

@@ -317,19 +317,8 @@ class TestResampleStage:
         assert meta["num_neighbours"] == 4  # schedule for 128x32x32
 
 
-class TestResampleVariants:
-    def test_split_components_flag(self, pipeline, tmp_path):
-        out = tmp_path / "tensors_split"
-        assert run(["resample", *SMALL_OVERRIDES,
-                    "resample_policy.split_components=true",
-                    "--cases", pipeline["cases"], "--out", out]) == 0
-        for axis in "xyz":
-            part = load_npy(out / f"object_0_velocity_{axis}.npy")
-            assert part.shape == (128, 32, 32)
-
-    def test_ini_settings_override(self, pipeline, tmp_path):
-        ini = tmp_path / "settings.ini"
-        ini.write_text("""
+# the classic INI resampler layout; [output] is ignored
+SETTINGS_INI = """
 [interpolation]
 kernel = Linear_Kernel
 
@@ -354,12 +343,79 @@ field_1 = velocity_x
 field_2 = velocity_y
 field_3 = velocity_z
 output_npy = 1
-""")
+"""
+GAUSSIAN_INI = SETTINGS_INI.replace("Linear_Kernel", "Gaussian_Kernel").replace(
+    "num_neighbours = 4", "num_neighbours = 8\nsharpness = 0.5")
+RADIUS_INI = SETTINGS_INI.replace("Linear_Kernel", "Shepard_Kernel").replace(
+    "kernel_footprint = N Closest\nnum_neighbours = 4",
+    "kernel_footprint = Radius\nradius = 40\npower = 3")
+
+
+def _ini_with(old, new):
+    assert old in SETTINGS_INI
+    return SETTINGS_INI.replace(old, new)
+
+
+# malformed INI files: (text, the problem named after the file)
+MALFORMED_INIS = {
+    "kernel-missing": (_ini_with("kernel = Linear_Kernel\n", ""),
+                       "[interpolation] kernel is missing"),
+    "kernel-unknown": (_ini_with("= Linear_Kernel", "= Cubic_Kernel"),
+                       "[interpolation] kernel: unknown kernel 'Cubic_Kernel'"),
+    "no-section-header": ("kernel = Linear_Kernel\n",
+                          "File contains no section headers"),
+    "radius-missing": (_ini_with("N Closest", "Radius"),
+                       "[Linear_Kernel] radius is missing"),
+    "num_cells_x-abc": (_ini_with("num_cells_x = 63", "num_cells_x = abc"),
+                        "[gridsize] num_cells_x: invalid literal for int() "
+                        "with base 10: 'abc'"),
+    "scale_y-missing": (_ini_with("scale_y = 512\n", ""),
+                        "[gridsize] scale_y is missing"),
+    "sharpness-nan": (_ini_with("num_neighbours = 4",
+                                "num_neighbours = 4\nsharpness = nan"),
+                      "resample_policy.sharpness: must be a number"),
+    "eccentricity-2": (_ini_with("num_neighbours = 4",
+                                 "num_neighbours = 4\neccentricity = 1, 2"),
+                       "resample_policy: eccentricity: expected three "
+                       "positive ratios"),
+}
+
+
+class TestResampleVariants:
+    def test_split_components_flag(self, pipeline, tmp_path):
+        out = tmp_path / "tensors_split"
+        assert run(["resample", *SMALL_OVERRIDES,
+                    "resample_policy.split_components=true",
+                    "--cases", pipeline["cases"], "--out", out]) == 0
+        for axis in "xyz":
+            part = load_npy(out / f"object_0_velocity_{axis}.npy")
+            assert part.shape == (128, 32, 32)
+
+    def test_ini_settings_override(self, pipeline, tmp_path):
+        ini = tmp_path / "settings.ini"
+        ini.write_text(SETTINGS_INI)
         out = tmp_path / "tensors_ini"
         assert run(["resample", *SMALL_OVERRIDES, "--ini", ini,
                     "--cases", pipeline["cases"], "--out", out]) == 0
         vel = load_npy(out / "object_0_velocity.npy")
         assert vel.shape == (3, 64, 16, 16)
+        # the frozen config records what the INI set
+        frozen = yaml.safe_load((out / "config_frozen.yaml").read_text())
+        assert frozen["resample_policy"]["cells"] == [63, 15, 15]
+        assert frozen["resample_policy"]["num_neighbours"] == 4
+
+    @pytest.mark.parametrize("text, problem", MALFORMED_INIS.values(),
+                             ids=MALFORMED_INIS.keys())
+    def test_malformed_ini_names_file_and_key(self, pipeline, tmp_path,
+                                              capsys, text, problem):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        out = tmp_path / "tensors"
+        assert run(["resample", *SMALL_OVERRIDES, "--ini", ini,
+                    "--cases", pipeline["cases"], "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"forge resample: {ini}: {problem}")
+        assert not out.exists()
 
     def test_prefilter_flag_runs(self, pipeline, tmp_path):
         out = tmp_path / "tensors_pref"
@@ -367,6 +423,49 @@ output_npy = 1
                     "resample_policy.prefilter=true",
                     "--cases", pipeline["cases"], "--out", out]) == 0
         assert (out / "object_0_velocity.npy").exists()
+
+
+def tree(root):
+    """Every file under ``root`` by relative path, provenance.json aside."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "provenance.json"}
+
+
+# each stage's options besides its config and --out, reading the pipeline
+# fixture's trees
+STAGE_INPUTS = {
+    "generate": lambda p: ["generate"],
+    "sdf": lambda p: ["sdf", "--in", p["scenes"]],
+    "orchestrate": lambda p: ["orchestrate", "--scenes", p["scenes"],
+                              "--sdf", p["sdf"], "--backend", "local"],
+    "resample": lambda p: ["resample", "--cases", p["cases"]],
+    "report": lambda p: ["report", "--scenes", p["scenes"]],
+}
+
+
+class TestFrozenConfigReproduces:
+    """A stage rerun into the same --out with only ``-c
+    <first run>/config_frozen.yaml`` as its config writes the bytes of the
+    run that froze it, an INI run's included."""
+
+    @pytest.mark.parametrize("stage, ini", [
+        ("generate", None), ("sdf", None), ("orchestrate", None),
+        ("resample", None), ("resample", GAUSSIAN_INI),
+        ("resample", RADIUS_INI), ("report", None),
+    ], ids=["generate", "sdf", "orchestrate", "resample", "resample-ini",
+            "resample-radius-ini", "report"])
+    def test_rerun_writes_the_same_tree(self, pipeline, tmp_path, stage, ini):
+        out, first = tmp_path / "out", tmp_path / "first"
+        argv = [*STAGE_INPUTS[stage](pipeline), "--out", out]
+        config = list(SMALL_OVERRIDES)
+        if ini is not None:
+            (tmp_path / "settings.ini").write_text(ini)
+            config += ["--ini", tmp_path / "settings.ini"]
+        assert run([*argv, *config]) == 0
+        out.rename(first)
+        assert run([*argv, "-c", first / "config_frozen.yaml"]) == 0
+        assert tree(out) == tree(first)
 
 
 class TestResampleOperatorReuse:
@@ -665,11 +764,13 @@ class TestSidecarAcrossStages:
                     "--out", cases, "--backend", "dry_run"]) == 2
         assert f"forge orchestrate: {where}" in capsys.readouterr().err
         assert not [p for p in cases.iterdir() if p.is_dir()]
-        # report skips it
+        # report skips it and names it in one stderr line
         assert run(["report", *SMALL_OVERRIDES, "--scenes", scenes,
                     "--out", tmp_path / "report"]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "report: 1 scene(s)" in out and ", 1 skipped," in out
+        assert err.startswith(f"report: {where}")
+        assert err.count("report: ") == 1
 
     @pytest.mark.parametrize("edit", [
         lambda sim: sim.update(dx=16.0),
@@ -799,6 +900,12 @@ class TestStartupWithoutScipy:
         assert self.fresh(f"import importlib, json, sys\n"
                           f"importlib.import_module({module!r})\n"
                           f"print(json.dumps({SCIPY_LOADED}))") == []
+
+    def test_import_loads_no_configparser(self):
+        # only an --ini run reads an INI file
+        assert self.fresh("import json, sys\nimport flowforge.cli\n"
+                          "print(json.dumps('configparser' in sys.modules))"
+                          ) is False
 
     def test_commands_load_no_scipy(self, pipeline, tmp_path):
         case = pipeline["cases"] / sorted(read_index(pipeline["cases"]))[0]

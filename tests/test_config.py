@@ -196,10 +196,26 @@ class TestResolve:
         ("resample_policy.radius=abc", "resample_policy.radius: must be a number"),
         ("resample_policy.num_neighbours=true", "num_neighbours"),
         ("shape_mix.cone=true", "shape_mix.cone: weight must be a number"),
+        # a number must be finite: these reached the digest or the grid
+        ("resample_policy.sharpness=.nan",
+         "resample_policy.sharpness: must be a number"),
+        ("min_volume=.inf", "min_volume: must be a number"),
+        ("bounding_box.x_max=.inf", "bounding_box.x_max: must be a number"),
+        ("solver_policy.cs=-.inf", "solver_policy.cs: must be a number"),
+        ("sim_param_policy.re_band=[.nan,5000]",
+         "sim_param_policy.re_band: expected a positive [min, max] interval"),
+        ("resample_policy.radius=.inf",
+         "resample_policy.radius: must be a number"),
     ])
     def test_value_types_checked(self, override, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             resolve_config(override_list=[override])
+
+    def test_integer_past_float_range_rejected(self):
+        # it passed as a number and overflowed in GridSpec.preset
+        with pytest.raises(ConfigError,
+                           match="bounding_box.x_max: must be a number"):
+            resolve_config(override_list=[f"bounding_box.x_max={10 ** 309}"])
 
     def test_resample_policy_checked_once(self):
         # the footprint the resample stage would reject fails at resolve time

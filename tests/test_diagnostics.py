@@ -188,7 +188,10 @@ simulation_parameters:
         out = tmp_path / "report"
         out.mkdir()
         summary = coverage_report(tmp_path, out)
-        assert summary["skipped"] == 1 and summary["scenes"] == 1
+        (problem,) = summary["skipped"]
+        assert problem.startswith(
+            f"scene sidecar {tmp_path / 'object_1.yaml'}: unparseable YAML")
+        assert summary["scenes"] == 1
 
     def test_half_parsed_scene_leaves_no_rows(self, tmp_path):
         good, mixed = tmp_path / "good", tmp_path / "mixed"
@@ -206,7 +209,9 @@ simulation_parameters:
             summary = coverage_report(d, out)
             tables.append({p.name: p.read_bytes()
                            for p in sorted(out.glob("*.csv"))})
-        assert summary["skipped"] == 1 and summary["scenes"] == 1
+        assert summary["skipped"] == [
+            f"scene sidecar {bad}: geometries[0].pos_x is missing"]
+        assert summary["scenes"] == 1
         assert summary["families"] == {"cone": 1}
         assert tables[1] == tables[0]
 

@@ -1,5 +1,8 @@
+import builtins
 import hashlib
+import io
 import itertools
+import os
 import threading
 import time
 from pathlib import Path
@@ -183,6 +186,27 @@ class TestMaterialize:
         mutated.write_bytes(bytes(raw))
         rec2 = materialize_case(yaml_path, mutated, None, cfg, out)
         assert rec1.case_id != rec2.case_id
+
+    def test_sidecar_read_once(self, scene_tree, tmp_path, monkeypatch):
+        # the case id and the parameters come from one read of the sidecar
+        _, yaml_path, stl_path = discover_pairs(scene_tree["scenes"])[0]
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if (isinstance(file, (str, os.PathLike)) and "r" in mode
+                    and Path(file) == yaml_path):
+                reads.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out = tmp_path / "cases"
+        out.mkdir()
+        rec = materialize_case(yaml_path, stl_path, None, scene_tree["cfg"],
+                               out)
+        assert (rec.case_dir / "manifest.yaml").exists()
+        assert reads == ["rb"]
 
     def test_orphan_named(self, tmp_path):
         (tmp_path / "object_0.yaml").write_text("a: 1\n")

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_interpolate
-from flowforge.errors import FieldError
+from flowforge.config import config_hash, resolve_config
+from flowforge.errors import ConfigError, FieldError
 from flowforge.resample import (FootprintSpec, KernelSpec, SourcePoints,
                                 _batch_weights, _neighbor_sets_n_closest,
                                 _neighbor_sets_radius, _to_field, apply,
                                 build_index, build_operator,
                                 default_k_for_grid, interpolate,
-                                make_target_grid, tensor_bytes)
+                                make_target_grid, resample_specs,
+                                tensor_bytes)
 from flowforge.fields import DenseField, GridSpec
 
 ALL_KERNELS = ["linear", "gaussian", "shepard", "voronoi",
@@ -575,40 +577,65 @@ field_3 = velocity_z
 output_npy = 1
 """
 
-    def test_classic_layout_parsed(self, tmp_path):
-        from flowforge.resample import read_ini_config
+    @staticmethod
+    def resolved(tmp_path, text, **kwargs):
         path = tmp_path / "settings.ini"
-        path.write_text(self.INI)
-        cfg = read_ini_config(path)
-        assert cfg["kernel"].kind == "linear"
-        assert cfg["footprint"].mode == "n_closest"
-        assert cfg["footprint"].k == 6
-        assert cfg["target"].dims == (256, 64, 64)
-        assert cfg["fields"] == ["velocity_x", "velocity_y", "velocity_z"]
-        assert cfg["output_npy"] is True
+        path.write_text(text)
+        return resolve_config(ini_file=path, **kwargs)
+
+    def test_classic_layout_parsed(self, tmp_path):
+        cfg = self.resolved(tmp_path, self.INI)
+        policy = cfg.resample_policy
+        assert policy["kernel"] == "linear"
+        assert policy["footprint"] == "n_closest"
+        assert policy["num_neighbours"] == 6
+        assert policy["cells"] == [255, 63, 63]
+        assert cfg.bounding_box == resolve_config().bounding_box
+        target, _, _ = resample_specs(policy, cfg.bounding_box.mins,
+                                      cfg.bounding_box.extents)
+        assert target.dims == (256, 64, 64)
 
     def test_radius_footprint_variant(self, tmp_path):
-        from flowforge.resample import read_ini_config
         ini = self.INI.replace("kernel = Linear_Kernel",
                                "kernel = Gaussian_Kernel")
         ini = ini.replace("[Linear_Kernel]\nkernel_footprint = N Closest\n"
                           "num_neighbours = 6",
                           "[Gaussian_Kernel]\nkernel_footprint = Radius\n"
                           "radius = 12.5\nsharpness = 3.0")
-        path = tmp_path / "settings.ini"
-        path.write_text(ini)
-        cfg = read_ini_config(path)
-        assert cfg["kernel"].kind == "gaussian"
-        assert cfg["kernel"].sharpness == 3.0
-        assert cfg["footprint"].mode == "radius"
-        assert cfg["footprint"].radius == 12.5
+        policy = self.resolved(tmp_path, ini).resample_policy
+        assert policy["kernel"] == "gaussian"
+        assert policy["sharpness"] == 3.0
+        assert policy["footprint"] == "radius"
+        assert policy["radius"] == 12.5
+        assert policy["num_neighbours"] is None
 
     def test_unknown_kernel_rejected(self, tmp_path):
-        from flowforge.resample import read_ini_config
-        path = tmp_path / "settings.ini"
-        path.write_text(self.INI.replace("Linear_Kernel", "Cubic_Kernel"))
-        with pytest.raises(FieldError, match="Cubic_Kernel"):
-            read_ini_config(path)
+        with pytest.raises(ConfigError, match="Cubic_Kernel"):
+            self.resolved(tmp_path,
+                          self.INI.replace("Linear_Kernel", "Cubic_Kernel"))
+
+    def test_same_digest_as_the_yaml_policy(self, tmp_path):
+        policy = ("resample_policy={kernel: linear, footprint: n_closest, "
+                  "num_neighbours: 6, cells: [255, 63, 63]}")
+        assert config_hash(self.resolved(tmp_path, self.INI)) == config_hash(
+            resolve_config(override_list=[policy]))
+
+    def test_layer_between_file_and_overrides(self, tmp_path):
+        # the file's kernel keys do not leak into the INI's kernel, its
+        # other keys stay, and an override wins over the INI
+        base = tmp_path / "base.yaml"
+        base.write_text("resample_policy: {sharpness: 5.0, power: 4.0, "
+                        "num_neighbours: 9, eccentricity: [1, 2, 0.5], "
+                        "prefilter: true}\n")
+        ini = self.INI.replace("num_neighbours = 6\n", "eccentricity = 2\n")
+        policy = self.resolved(tmp_path, ini, base_file=base).resample_policy
+        assert policy["num_neighbours"] == 6
+        assert (policy["sharpness"], policy["power"]) == (2.0, 2.0)
+        assert policy["eccentricity"] == [2.0, 2.0, 2.0]
+        assert policy["prefilter"] is True
+        policy = self.resolved(tmp_path, ini, base_file=base, override_list=[
+            "resample_policy.num_neighbours=3"]).resample_policy
+        assert policy["num_neighbours"] == 3
 
 
 class TestPrefilter:
