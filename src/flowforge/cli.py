@@ -273,9 +273,11 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    # scipy loads first: imported mid-stage, after the arrays, it adds peak RSS
-    import scipy.spatial  # noqa: F401
     cfg = _resolve(args)
+    if cfg.resample_policy["prefilter"]:
+        # the prefilter's scipy loads first: imported mid-stage, after the
+        # arrays, it adds peak RSS
+        import scipy.ndimage  # noqa: F401
     cases_dir = Path(args.cases)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,14 +298,15 @@ def _cmd_resample(args) -> int:
             export_npy(values, Path(f"{stem_path}_{suffix}.npy"))
 
     # neighbor sets and weights depend only on the source grid: build them
-    # once per grid and reuse them for every velocity and SDF field on it
+    # once per grid, from the grid's own node layout (no k-d tree), and
+    # reuse them for every velocity and SDF field on it
     operators: dict[GridSpec, ResampleOperator] = {}
 
     def resample_field(field: DenseField):
         operator = operators.get(field.grid)
         if operator is None:
             operator = operators[field.grid] = build_operator(
-                field.grid.sample_positions(), target, kernel, footprint)
+                field.grid, target, kernel, footprint)
         return apply(operator, sample_values(field))
 
     done = 0

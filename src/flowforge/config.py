@@ -268,7 +268,15 @@ def _read_ini(path) -> dict:
                                        interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
+            text = handle.read()
+        parser.read_string(text, source=str(path))
+    except configparser.ParsingError as exc:
+        # one line: configparser's own text spans lines and repeats the file
+        missing = isinstance(exc, configparser.MissingSectionHeaderError)
+        lineno = exc.lineno if missing else exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        problem = "no section header before" if missing else "cannot parse"
+        raise ConfigError(f"{path}: line {lineno}: {problem} {line!r}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -297,7 +305,10 @@ def _read_ini(path) -> dict:
     # one ratio means three equal ones; any other count goes on to _validate
     policy["eccentricity"] = ratios * 3 if len(ratios) == 1 else ratios
     footprint = setting(name, "kernel_footprint", default="N Closest")
-    if footprint.lower().startswith("n"):
+    if footprint.lower() not in ("n closest", "radius"):
+        raise ConfigError(f"{path}: [{name}] kernel_footprint: expected "
+                          f"'N Closest' or 'Radius', got {footprint!r}")
+    if footprint.lower() == "n closest":
         policy["num_neighbours"] = setting(name, "num_neighbours", int, DEFAULT_K)
     else:
         policy["footprint"] = "radius"

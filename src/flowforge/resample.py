@@ -20,6 +20,14 @@ padded-set code as the radius footprint (:func:`_ball_sets`).  The
 operator is as wide as the widest tie set: 5 columns for k = 4 from the
 dx=16 channel grid onto the 128x32x32 target.
 
+Both queries run against one of two indexes with the same results, bit
+for bit.  Sources on the nodes of a ``GridSpec`` (every field ``forge
+resample`` reads) use a :class:`GridIndex`, which finds neighbors by
+arithmetic on per-axis windows of nodes; it needs no scipy and has nothing
+to build.  Scattered sources use a ``cKDTree`` (:func:`build_index`).
+Padded footprint columns weigh 0 and point at their row's nearest member,
+so a non-finite value outside a footprint never reaches its row.
+
 Normalized weights reproduce constant fields exactly for every
 kernel/footprint combination.  When all weights vanish (or a radius
 footprint is empty) the sample falls back to the value of the nearest
@@ -127,18 +135,231 @@ def build_index(positions):
     return cKDTree(positions)
 
 
-def _ball_sets(index, targets: np.ndarray, radius):
-    """Every source within ``radius`` (a scalar or one per target) of each
-    target, as padded (dist, idx) arrays sorted by (distance, source id),
-    with inf and 0 past a row's members, and the member count per row."""
+# window candidates per chunk of query rows; bounds the (rows, candidates)
+# temporaries to a few MB whatever the number of targets
+_CANDIDATE_BUDGET = 1 << 18
+
+# a k+1 probe row is final when every node outside its window lies beyond
+# d_{k+1} (1 + _CERT_REL).  A row that fails takes a window holding every
+# node within d_{k+1} (1 + _REACH_REL), which passes that test; a row that
+# fails again (rounding alone could do it) takes the whole grid
+_CERT_REL = 1e-12
+_REACH_REL = 1e-9
+
+
+class GridIndex:
+    """Exact k-nearest and ball queries over the nodes of a ``GridSpec``.
+
+    Gives the results of a ``cKDTree`` over ``grid.sample_positions()``
+    from per-axis windows of nodes, with no tree to build or walk.
+    Distances are ``sqrt((dx² + dy²) + dz²)`` with ``d = t - s``, the
+    tree's own arithmetic, so they agree bit for bit.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.n = int(np.prod(grid.dims))
+        self.data = grid.sample_positions()
+        self._axes = [grid.axis_coords(a) for a in range(3)]
+        self._dims = np.asarray(grid.dims)
+
+    # -- windows -------------------------------------------------------------
+    def _box(self, t, reach):
+        """One window shape and each row's window start (lo, sizes): every
+        window holds all nodes within ``reach`` (per row, and per axis or
+        for all three) of its target along each axis, padded so that
+        rounding in ``t ± reach`` leaves no node out."""
+        reach = reach * (1.0 + 1e-9) + np.abs(t) * 1e-12
+        lo, hi = (np.column_stack([
+            np.searchsorted(axis, t[:, a] + sign * reach[:, a], side=side)
+            for a, axis in enumerate(self._axes)])
+            for sign, side in ((-1.0, "left"), (1.0, "right")))
+        # the widest box on each axis, moved back inside the grid where it
+        # would overhang, still covers each row's own box
+        sizes = (hi - lo).max(axis=0, initial=0)
+        return np.minimum(lo, self._dims - sizes), sizes
+
+    def _chunks(self, rows, sizes):
+        """``rows`` in slices of at most _CANDIDATE_BUDGET window nodes."""
+        step = max(1, _CANDIDATE_BUDGET // int(np.prod(sizes)))
+        return (slice(start, start + step)
+                for start in range(0, len(rows), step))
+
+    def _dist2(self, t, lo, sizes):
+        """Squared distances from each target to its window's nodes,
+        (rows, window nodes) with the window in C order, summed in the
+        tree's order."""
+        dx, dy, dz = (t[:, a] - axis[lo[:, a] + np.arange(sizes[a])[:, None]]
+                      for a, axis in enumerate(self._axes))
+        # built nodes-first, so NumPy's inner loops run along the rows
+        d2 = ((dx * dx)[:, None, None, :] + (dy * dy)[None, :, None, :]
+              + (dz * dz)[None, None, :, :])
+        return d2.reshape(-1, len(t)).T
+
+    def _ids(self, lo, sizes, pos):
+        """Node ids at window positions ``pos`` (rows, m): a window's C
+        order is also ascending id order."""
+        ny, nz = self.grid.dims[1:]
+        # id of each window position relative to the window's first node
+        steps = [np.arange(sizes[0]) * (ny * nz), np.arange(sizes[1]) * nz,
+                 np.arange(sizes[2])]
+        offset = (steps[0][:, None, None] + steps[1][None, :, None]
+                  + steps[2][None, None, :]).ravel()
+        first = (lo[:, 0] * ny + lo[:, 1]) * nz + lo[:, 2]
+        return first[:, None] + offset[pos]
+
+    # -- queries -------------------------------------------------------------
+    def nearest(self, targets, width: int):
+        """The ``width`` nearest nodes of each target as (dist, idx) arrays,
+        each row sorted by (distance, node id)."""
+        if not 1 <= width <= self.n:
+            raise FieldError(f"cannot take {width} nearest of {self.n} nodes")
+        dims = self._dims
+        spacing = np.asarray(self.grid.spacing)
+        dist = np.empty((len(targets), width))
+        idx = np.empty((len(targets), width), dtype=np.int64)
+        first, last = (np.array([axis[i] for axis in self._axes])
+                       for i in (0, -1))
+        # each target's per-axis distance to the grid's extent, 0 inside
+        out = np.maximum(0.0, np.maximum(first - targets, targets - last))
+
+        # first pass: one window shape, about a ball that holds ``width``
+        # nodes, around each target's nearest node
+        rho = np.cbrt(3.0 * width * spacing.prod() / (4.0 * np.pi))
+        half = np.minimum(np.maximum(1, np.rint(rho / spacing)), dims - 1)
+        while np.minimum(2 * half + 1, dims).prod() < width:
+            half = np.minimum(half + 1, dims - 1)
+        sizes = np.minimum(2 * half + 1, dims).astype(np.int64)
+        centre = np.rint((targets - self.grid.origin) / spacing)
+        lo = np.clip(centre - half, 0, dims - sizes).astype(np.int64)
+        rows = self._window_pass(targets, out, np.arange(len(targets)), lo,
+                                 sizes, width, dist, idx)
+        if len(rows):
+            # a node within d_{k+1} of a target is within
+            # sqrt(d² - sum of out_b², b != a) of it along axis a
+            reach = dist[rows, -1] * (1.0 + _REACH_REL)
+            sq = out[rows] ** 2
+            others = sq.sum(axis=1)[:, None] - sq
+            along = np.sqrt(np.maximum((reach * reach)[:, None] - others, 0.0))
+            lo, sizes = self._box(targets[rows], along)
+            rows = self._window_pass(targets, out, rows, lo, sizes, width,
+                                     dist, idx)
+        if len(rows):
+            whole = np.zeros((len(rows), 3), dtype=np.int64)
+            self._window_pass(targets, out, rows, whole, dims, width, dist,
+                              idx)
+        return dist, idx
+
+    def _window_pass(self, targets, out, rows, lo, sizes, width, dist, idx):
+        """Write the ``width`` nearest window nodes of ``rows``, each window
+        of shape ``sizes`` at ``lo``, and return the rows that are not
+        certified exact."""
+        failed = [rows[:0]]
+        for part in self._chunks(rows, sizes):
+            chunk, t, start = rows[part], targets[rows[part]], lo[part]
+            d = np.sqrt(self._dist2(t, start, sizes))
+            if width < d.shape[1]:
+                pick = np.argpartition(d, width, axis=1)[:, :width + 1]
+                near = np.take_along_axis(d, pick, axis=1)
+                # when the next node ties the pick's farthest, a node left
+                # out may have a smaller id than one picked: such rows take
+                # a stable sort
+                after = near[:, width]
+                pick, near = pick[:, :width], near[:, :width]
+                tied = np.flatnonzero(after == near.max(axis=1))
+                pick[tied] = np.argsort(d[tied], axis=1,
+                                        kind="stable")[:, :width]
+                near[tied] = np.take_along_axis(d[tied], pick[tied], axis=1)
+            else:
+                pick = np.broadcast_to(np.arange(width), d.shape)
+                near = d
+            # (distance, window position) order is (distance, id) order
+            order = np.lexsort((pick, near), axis=1)
+            dist[chunk] = np.take_along_axis(near, order, axis=1)
+            idx[chunk] = self._ids(start, sizes,
+                                   np.take_along_axis(pick, order, axis=1))
+            bound = self._outside_bound(t, out[chunk], start, sizes)
+            failed.append(chunk[~(np.sqrt(bound)
+                                  > dist[chunk, -1] * (1.0 + _CERT_REL))])
+        return np.concatenate(failed)
+
+    def _outside_bound(self, t, out, lo, sizes):
+        """A lower bound on the squared distance from each target to any
+        node outside its window (inf for a window that is the whole grid).
+
+        A node outside the window on axis a is at least gap_a away along a
+        and out_b along each other axis b.  The bound adds those squares in
+        the order a node's own distance adds them, so rounding keeps it at
+        or below every outside node's computed distance.
+        """
+        out2 = [out[:, a] ** 2 for a in range(3)]
+        bound = np.full(len(t), np.inf)
+        for a, axis in enumerate(self._axes):
+            below, above = lo[:, a] - 1, lo[:, a] + sizes[a]
+            gap = np.minimum(
+                np.where(below >= 0, t[:, a] - axis[np.maximum(below, 0)],
+                         np.inf),
+                np.where(above < len(axis),
+                         axis[np.minimum(above, len(axis) - 1)] - t[:, a],
+                         np.inf))
+            e = list(out2)
+            e[a] = np.maximum(gap, 0.0) ** 2
+            bound = np.minimum(bound, (e[0] + e[1]) + e[2])
+        return bound
+
+    def ball(self, targets, radius):
+        """(rows, members) pairs: every node within ``radius`` (a scalar or
+        one per target) of each target, a member when ``d² <= r*r`` as in
+        the tree."""
+        radius = np.broadcast_to(np.asarray(radius, dtype=np.float64),
+                                 (len(targets),))
+        # a member is within r (1 + a few ulp) of its target on every axis
+        lo, sizes = self._box(targets, radius[:, None])
+        rows, members = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        # a window empty along some axis is empty for every row
+        for part in self._chunks(targets, sizes) if sizes.all() else ():
+            r = radius[part]
+            inside = (self._dist2(targets[part], lo[part], sizes)
+                      <= (r * r)[:, None])
+            row, pos = np.nonzero(inside)
+            members.append(self._ids(lo[part][row], sizes, pos[:, None])[:, 0])
+            rows.append(row + part.start)
+        return np.concatenate(rows), np.concatenate(members)
+
+
+def _nearest(index, targets: np.ndarray, width: int):
+    """The ``width`` nearest sources of each target as (dist, idx) arrays,
+    each row sorted by (distance, source id)."""
+    if isinstance(index, GridIndex):
+        return index.nearest(targets, width)
+    dist, idx = index.query(targets, k=list(range(1, width + 1)), workers=1)
+    # (distance, id) order: equidistant ties break the same way whatever
+    # the query order
+    order = np.lexsort((idx, dist), axis=1)
+    return (np.take_along_axis(dist, order, axis=1),
+            np.take_along_axis(idx, order, axis=1))
+
+
+def _ball_pairs(index, targets: np.ndarray, radius):
+    """(rows, members): every source within ``radius`` of each target."""
+    if isinstance(index, GridIndex):
+        return index.ball(targets, radius)
     lists = index.query_ball_point(targets, radius, workers=1)
     counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
     members = np.fromiter(itertools.chain.from_iterable(lists),
                           dtype=np.int64, count=int(counts.sum()))
-    rows = np.repeat(np.arange(len(targets)), counts)
+    return np.repeat(np.arange(len(targets)), counts), members
+
+
+def _ball_sets(index, targets: np.ndarray, radius):
+    """Every source within ``radius`` (a scalar or one per target) of each
+    target, as padded (dist, idx) arrays sorted by (distance, source id),
+    with inf and 0 past a row's members, and the member count per row."""
+    rows, members = _ball_pairs(index, targets, radius)
     d = np.linalg.norm(index.data[members] - targets[rows], axis=1)
-    # rows come first in the sort key, so ``rows`` is already in order
     order = np.lexsort((members, d, rows))
+    rows = rows[order]
+    counts = np.bincount(rows, minlength=len(targets))
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     width = max(1, int(counts.max(initial=0)))
     dist = np.full((len(targets), width), np.inf)
@@ -156,12 +377,7 @@ def _neighbor_sets_n_closest(index, targets: np.ndarray, k: int):
     """
     k_eff = min(k, index.n)
     width = min(index.n, k_eff + 1)
-    dist, idx = index.query(targets, k=list(range(1, width + 1)), workers=1)
-    # (distance, id) order: equidistant ties break the same way whatever
-    # the query order
-    order = np.lexsort((idx, dist), axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
+    dist, idx = _nearest(index, targets, width)
     d_k = dist[:, k_eff - 1]
     tie_limit = d_k * (1.0 + _TIE_REL)
 
@@ -219,14 +435,18 @@ class ResampleOperator:
         return len(self.hole_rows)
 
 
-def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
+def build_operator(sources, target: GridSpec, kernel: KernelSpec,
                    footprint: FootprintSpec) -> ResampleOperator:
     """Neighbor search and kernel weights for resampling onto ``target``.
 
+    ``sources`` is the ``GridSpec`` whose nodes hold the source samples
+    (searched through a :class:`GridIndex`), or an (n, 3) array of
+    scattered source positions (searched through :func:`build_index`).
     Depends only on where the sources are, never on their values: one
-    operator serves every field sampled at ``source_positions``.
+    operator serves every field sampled there.
     """
-    index = build_index(source_positions)
+    index = (GridIndex(sources) if isinstance(sources, GridSpec)
+             else build_index(sources))
     targets = target.sample_positions()
 
     if footprint.mode == "n_closest":
@@ -242,6 +462,9 @@ def build_operator(source_positions, target: GridSpec, kernel: KernelSpec,
     # to the smallest id
     has_any = valid[:, 0]
     anchor = np.where(has_any, idx[:, 0], 0)
+    # padded columns weigh 0 but point at the anchor, whose shifted value
+    # is +0.0: a non-finite value outside the footprint stays out of the row
+    idx = np.where(valid, idx, anchor[:, None])
 
     if kernel.kind == "voronoi":
         # nearest source wins

@@ -363,7 +363,16 @@ MALFORMED_INIS = {
     "kernel-unknown": (_ini_with("= Linear_Kernel", "= Cubic_Kernel"),
                        "[interpolation] kernel: unknown kernel 'Cubic_Kernel'"),
     "no-section-header": ("kernel = Linear_Kernel\n",
-                          "File contains no section headers"),
+                          "line 1: no section header before "
+                          "'kernel = Linear_Kernel'"),
+    "unparsable-line": (_ini_with("num_neighbours = 4", "num_neighbours 4"),
+                        "line 7: cannot parse 'num_neighbours 4'"),
+    "footprint-nearest": (_ini_with("N Closest", "Nearest"),
+                          "[Linear_Kernel] kernel_footprint: expected "
+                          "'N Closest' or 'Radius', got 'Nearest'"),
+    "footprint-ball": (_ini_with("N Closest", "Ball"),
+                       "[Linear_Kernel] kernel_footprint: expected "
+                       "'N Closest' or 'Radius', got 'Ball'"),
     "radius-missing": (_ini_with("N Closest", "Radius"),
                        "[Linear_Kernel] radius is missing"),
     "num_cells_x-abc": (_ini_with("num_cells_x = 63", "num_cells_x = abc"),
@@ -413,8 +422,9 @@ class TestResampleVariants:
         out = tmp_path / "tensors"
         assert run(["resample", *SMALL_OVERRIDES, "--ini", ini,
                     "--cases", pipeline["cases"], "--out", out]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"forge resample: {ini}: {problem}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"forge resample: {ini}: {problem}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_prefilter_flag_runs(self, pipeline, tmp_path):
@@ -830,6 +840,11 @@ overrides, scenes, sdf, case, out = json.loads(sys.argv[1])
 argvs = {
     "orchestrate": ["orchestrate", *overrides, "--scenes", scenes,
                     "--sdf", sdf, "--out", out + "/cases", "--backend", "local"],
+    "resample": ["resample", *overrides, "--cases", out + "/cases",
+                 "--out", out + "/tensors"],
+    "resample_radius": ["resample", *overrides, "resample_policy.footprint=radius",
+                        "resample_policy.radius=24", "--cases", out + "/cases",
+                        "--out", out + "/tensors_radius"],
     "gate": ["gate", "--case", case],
     "report": ["report", *overrides, "--scenes", scenes,
                "--out", out + "/report"],
@@ -878,8 +893,9 @@ print(json.dumps({"before": before,
 
 
 class TestStartupWithoutScipy:
-    """Only generate, sdf and resample load scipy.  Each check runs in a
-    fresh interpreter, because this one has scipy loaded already."""
+    """Only generate and sdf load scipy, and resample only for its
+    prefilter.  Each check runs in a fresh interpreter, because this one
+    has scipy loaded already."""
 
     @staticmethod
     def fresh(code: str, *args) -> dict:
@@ -914,7 +930,8 @@ class TestStartupWithoutScipy:
         loaded = self.fresh(FORGE_WITHOUT_SCIPY,
                             json.dumps([SMALL_OVERRIDES, *paths]))
         assert loaded == {name: [0, []] for name in
-                          ("orchestrate", "gate", "report", "validate")}
+                          ("orchestrate", "resample", "resample_radius", "gate",
+                           "report", "validate")}
 
     def test_first_ndimage_import_under_threads(self):
         # the threads race on the far-field labelling's first scipy import

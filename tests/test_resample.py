@@ -1,4 +1,5 @@
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from _oracles import brute_interpolate
 from flowforge.config import config_hash, resolve_config
 from flowforge.errors import ConfigError, FieldError
-from flowforge.resample import (FootprintSpec, KernelSpec, SourcePoints,
-                                _batch_weights, _neighbor_sets_n_closest,
+from flowforge.resample import (FootprintSpec, GridIndex, KernelSpec,
+                                SourcePoints, _batch_weights, _neighbor_sets_n_closest,
                                 _neighbor_sets_radius, _to_field, apply,
                                 build_index, build_operator,
                                 default_k_for_grid, interpolate,
@@ -510,6 +511,159 @@ class TestOperatorEquivalence:
                                   FootprintSpec("n_closest", k=2))
         with pytest.raises(FieldError, match="sources"):
             apply(operator, pts.values[:-1])
+
+
+# source grids and targets on which the grid index must give the k-d
+# tree's results bit for bit: (source grid, target grid, k values, radii).
+# The lattice radius 16 and the dx=64 radii put nodes exactly at r, at
+# sqrt(2) r and at sqrt(3) r from coincident targets
+GRID_INDEX_ROWS = {
+    **{f"lattice_{name}": (CHANNEL, target, (4,), (16.0,))
+       for name, (target, _) in LATTICE_TARGETS.items()},
+    "k_sweep": (GridSpec(dims=(12, 10, 9)),
+                make_target_grid((-1, -2, 0.5), (14, 13, 8), (17, 11, 9)),
+                (1, 4, 6, 8), (1.5,)),
+    "single_node_axis": (GridSpec(dims=(9, 1, 7)),
+                         make_target_grid((-1, -1, -1), (11, 3, 9),
+                                          (13, 5, 9)),
+                         (4, 8), (1.5,)),
+    "fewer_nodes_than_k_plus_1": (GridSpec(spacing=(1, 2, 1), dims=(2, 2, 1)),
+                                  make_target_grid((-1, -1, -1), (4, 5, 3),
+                                                   (5, 5, 3)),
+                                  (4, 8), (2.5,)),
+    "anisotropic": (GridSpec.preset(16, aniso=(2.0, 0.5)),
+                    LATTICE_TARGETS["e2e"][0], (4,), (20.0,)),
+    "odd_spacing": (GridSpec(origin=(0.3, -1.1, 2.2), spacing=(1.7, 2.9, 0.7),
+                             dims=(20, 11, 30)),
+                    make_target_grid((0, 0, 0), (30, 30, 20), (37, 23, 41)),
+                    (8,), (1.75,)),
+    "far_box": (GridSpec.preset(64),
+                make_target_grid((20480, 5120, 5120), (2048, 512, 512),
+                                 (31, 7, 7)),
+                (4, 8), (64.0,)),
+    "far_along_x": (GridSpec.preset(64),
+                    make_target_grid((20480, 0, 0), (2048, 512, 512),
+                                     (31, 7, 7)),
+                    (4, 8), (64.0,)),
+    "nodes_at_r": (GridSpec.preset(64), GridSpec.preset(64), (6,),
+                   (64.0, 64.0 * np.sqrt(2.0), 64.0 * np.sqrt(3.0))),
+}
+
+OPERATOR_FIELDS = ("anchor", "idx", "weights", "wsum", "exact_hit",
+                   "hole_rows", "hole_sources")
+
+
+def grid_index_footprints(row):
+    _, _, ks, radii = GRID_INDEX_ROWS[row]
+    return ([FootprintSpec("n_closest", k=k) for k in ks]
+            + [FootprintSpec("radius", radius=r) for r in radii])
+
+
+class TestGridIndex:
+    """``GridIndex`` gives ``build_index``'s neighbor sets, operators and
+    fields, bit for bit."""
+
+    @pytest.mark.parametrize("row", sorted(GRID_INDEX_ROWS))
+    def test_neighbor_sets_match_tree(self, row):
+        source, target, ks, radii = GRID_INDEX_ROWS[row]
+        targets = target.sample_positions()
+        tree, grid = build_index(source.sample_positions()), GridIndex(source)
+        for k in ks:
+            want = _neighbor_sets_n_closest(tree, targets, k)
+            got = _neighbor_sets_n_closest(grid, targets, k)
+            valid = want[2]
+            assert np.array_equal(got[2], valid)
+            assert np.array_equal(got[3], want[3])
+            for ours, theirs in zip(got[:2], want[:2]):
+                assert np.array_equal(ours[valid], theirs[valid])
+        for r in radii:
+            for ours, theirs in zip(_neighbor_sets_radius(grid, targets, r),
+                                    _neighbor_sets_radius(tree, targets, r)):
+                assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("row", sorted(GRID_INDEX_ROWS))
+    @pytest.mark.parametrize("kind", ALL_KERNELS)
+    def test_operator_and_field_match_tree(self, kind, row):
+        source, target, _, _ = GRID_INDEX_ROWS[row]
+        positions = source.sample_positions()
+        values = np.random.default_rng(9).normal(size=(len(positions), 3))
+        for footprint in grid_index_footprints(row):
+            ours = build_operator(source, target, KernelSpec(kind), footprint)
+            theirs = build_operator(positions, target, KernelSpec(kind),
+                                    footprint)
+            assert ours.n_sources == theirs.n_sources
+            for name in OPERATOR_FIELDS:
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
+            assert np.array_equal(apply(ours, values)[0].values,
+                                  apply(theirs, values)[0].values)
+
+    def test_rows_reach_retries_and_whole_grid(self):
+        """The table's rows take the retry windows, and a window that is the
+        whole grid."""
+        passes = {}
+        original = GridIndex._window_pass
+
+        def spy(self, targets, out, rows, lo, sizes, *rest):
+            passes[row].append(bool((sizes == self._dims).all()))
+            return original(self, targets, out, rows, lo, sizes, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GridIndex, "_window_pass", spy)
+            for row in ("anisotropic", "far_box", "fewer_nodes_than_k_plus_1"):
+                passes[row] = []
+                source, target, ks, _ = GRID_INDEX_ROWS[row]
+                index = GridIndex(source)
+                index.nearest(target.sample_positions(), min(index.n, ks[-1] + 1))
+        assert len(passes["anisotropic"]) > 1 and len(passes["far_box"]) > 1
+        assert passes["fewer_nodes_than_k_plus_1"] == [True]
+
+    @pytest.mark.parametrize("row", ["anisotropic", "lattice_e2e"])
+    def test_not_slower_than_tree(self, row):
+        """At most twice the k-d tree's time, build included (best of 3)."""
+        source, target, ks, _ = GRID_INDEX_ROWS[row]
+        targets = target.sample_positions()
+
+        def best(make_index):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                _neighbor_sets_n_closest(make_index(), targets, ks[0])
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        tree = best(lambda: build_index(source.sample_positions()))
+        assert best(lambda: GridIndex(source)) <= 2.0 * tree
+
+    @pytest.mark.parametrize("footprint", [FootprintSpec("n_closest", k=4),
+                                           FootprintSpec("radius", radius=1.2)],
+                             ids=["n_closest", "radius"])
+    @pytest.mark.parametrize("index", ["grid", "tree"])
+    def test_nan_outside_footprint_stays_out(self, index, footprint):
+        """A padded column weighs 0 and points at its row's anchor, so a NaN
+        source poisons only the rows whose footprint holds it."""
+        source = GridSpec(dims=(6, 6, 6))
+        target = GridSpec(origin=(0.5, 0.4, 0.3), spacing=(1.5, 1.5, 1.5),
+                          dims=(4, 4, 4))
+        positions = source.sample_positions()
+        operator = build_operator(source if index == "grid" else positions,
+                                  target, KernelSpec("gaussian"), footprint)
+        tree = build_index(positions)
+        if footprint.mode == "n_closest":
+            _, idx, valid, _ = _neighbor_sets_n_closest(
+                tree, target.sample_positions(), footprint.k)
+        else:
+            _, idx, valid, _ = _neighbor_sets_radius(
+                tree, target.sample_positions(), footprint.radius)
+        assert operator.holes == 0 and not valid.all()
+        # every source a padded column held before the fix, and source 0
+        for s in sorted(set(idx[~valid].tolist()) | {0}):
+            values = np.ones(len(positions))
+            values[s] = np.nan
+            field, _ = apply(operator, values)
+            clean = ~(valid & (idx == s)).any(axis=1)
+            assert clean.any()
+            assert np.isfinite(field.values.ravel()[clean]).all(), s
 
 
 class TestTargetGrids:
