@@ -32,7 +32,7 @@ from .orchestrate import (BACKENDS, discover_pairs, materialize_case,
                           plan_lanes, read_index, read_manifest, submit,
                           synthetic_solver)
 from .resample import (ResampleOperator, apply, build_operator,
-                       resample_specs, sample_values)
+                       resample_specs)
 from .sampling import GeneratorState, freeze_dimension, load_state, save_state
 from .sdf import MeshAccel, voxelize
 from .yamlio import write_yaml
@@ -307,7 +307,7 @@ def _cmd_resample(args) -> int:
         if operator is None:
             operator = operators[field.grid] = build_operator(
                 field.grid, target, kernel, footprint)
-        return apply(operator, sample_values(field))
+        return apply(operator, field.values.reshape(field.components, -1))
 
     done = 0
     for case_id, entry in ordered:

@@ -11,7 +11,9 @@ Neighbor sets and kernel weights depend only on where the sources are and
 on the target grid, never on the source values.  They are therefore built
 once per source grid (:func:`build_operator`) and reused for every field
 sampled on that grid (:func:`apply`); :func:`interpolate` is the one-shot
-form of the two.
+form of the two.  :func:`apply` takes a field in its own channels-first
+layout, (n,) or (C, n) over the source samples, and returns the target
+field in that layout.
 
 A tie-inclusive k-nearest set is found in two steps.  Every target
 queries k + 1 neighbors; only a target whose (k+1)-th neighbor ties the
@@ -413,19 +415,20 @@ def _neighbor_sets_radius(index, targets: np.ndarray, r: float):
 class ResampleOperator:
     """Footprints and kernel weights from one source layout to one target grid.
 
-    Rows are target samples in ``GridSpec.sample_positions`` order.  The
-    weights keep the padded footprint width and are not normalized, so
-    :func:`apply` performs exactly the arithmetic of a one-shot
-    interpolation.
+    Targets are in ``GridSpec.sample_positions`` order.  ``idx`` and
+    ``weights`` hold one footprint column per row, W rows of T targets,
+    so that :func:`apply` adds one column at a time.  The weights keep the
+    padded footprint width and are not normalized, so :func:`apply`
+    performs exactly the arithmetic of a one-shot interpolation.
     """
     target: GridSpec
     kernel: str
     footprint: str
     n_sources: int
     anchor: np.ndarray               # (T,) nearest footprint member
-    idx: np.ndarray | None           # (T, W) footprint ids; None for voronoi
-    weights: np.ndarray | None       # (T, W), zero outside the footprint
-    wsum: np.ndarray | None          # (T,) row sums of ``weights``
+    idx: np.ndarray | None           # (W, T) footprint ids; None for voronoi
+    weights: np.ndarray | None       # (W, T), zero outside the footprint
+    wsum: np.ndarray | None          # (T,) column sums of ``weights``
     exact_hit: np.ndarray | None     # rows on a source: take it unchanged
     hole_rows: np.ndarray            # rows with no usable weight ...
     hole_sources: np.ndarray         # ... and the nearest source each takes
@@ -471,14 +474,18 @@ def build_operator(sources, target: GridSpec, kernel: KernelSpec,
         idx = weights = wsum = exact_hit = None
         covered = has_any
     else:
-        offsets = index.data[idx] - targets[:, None, :]
-        weights = _batch_weights(kernel, offsets, dist, radii)
-        weights = np.where(valid, weights, 0.0)
-        # columns summed left to right, so a row's sum depends only on its
+        # (T, W, 3): only the ellipsoidal kernel reads the offsets
+        offsets = (index.data[idx] - targets[:, None, :]
+                   if kernel.kind == "ellipsoidal_gaussian" else None)
+        weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii),
+                           0.0)
+        idx = np.ascontiguousarray(idx.T)
+        weights = np.ascontiguousarray(weights.T)
+        # columns summed left to right, so a target's sum depends only on its
         # own footprint, not on the operator width (NumPy's pairwise sum
         # regroups rows of 8 or more columns)
-        wsum = np.zeros(len(weights))
-        for column in weights.T:
+        wsum = np.zeros(len(targets))
+        for column in weights:
             wsum += column
         ok = (wsum > 0) & np.isfinite(wsum) & has_any
         exact_hit = has_any & (dist[:, 0] == 0.0)
@@ -503,43 +510,50 @@ def build_operator(sources, target: GridSpec, kernel: KernelSpec,
 def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
     """Resample one field's source values through a built operator.
 
-    ``values`` holds one row per source position, with 1 or 3 components.
-    Returns the dense field (scalar or 3-component, channels first) and a
-    summary dict with the hole count and the effective footprint.
+    ``values`` is channels first, like ``DenseField.values`` flattened
+    over the grid: (n,) or (1, n) for a scalar field, (3, n) for a vector
+    field, with n the operator's source count.  Returns the dense field
+    (scalar or 3-component, channels first) and a summary dict with the
+    hole count and the effective footprint.
 
-    The weighted average is taken over every row without a mask.  A row
-    whose weight sum is not finite and positive is either an exact hit or
-    a hole (``build_operator`` makes every other row a hole), and both
-    kinds are overwritten after the average, so its value is never read.
+    The weighted average is taken over every target without a mask.  A
+    target whose weight sum is not finite and positive is either an exact
+    hit or a hole (``build_operator`` makes every other target a hole),
+    and both kinds are overwritten after the average, so its value is
+    never read.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
-        values = values[:, None]
-    if len(values) != operator.n_sources:
+        values = values[None, :]
+    if values.ndim != 2 or values.shape[1] != operator.n_sources:
         raise FieldError(f"operator built for {operator.n_sources} sources, "
-                         f"got {len(values)} values")
-    anchor = values.take(operator.anchor, axis=0)
-    out = anchor.copy()
+                         f"got values of shape {values.shape}")
+    anchor = values.take(operator.anchor, axis=1)
+    out = anchor
 
     if operator.weights is not None:
         # nearest anchors a shifted accumulation: sum w (f - f0) / sum w + f0
         # is algebraically the weighted average but reproduces constant
-        # fields bit-exactly
-        rows, width = operator.idx.shape
-        shifted = values.take(operator.idx.ravel(), axis=0).reshape(
-            rows, width, values.shape[1])
-        shifted -= anchor[:, None, :]
-        numer = np.einsum("tn,tnc->tc", operator.weights, shifted)
-        # no mask: the rows whose 0/0 or x/inf this leaves are overwritten below
+        # fields bit-exactly.  Footprint columns are added left to right,
+        # so each target's sum order is the same for 1 and 3 components
+        numer = np.zeros_like(anchor)
+        for idx, weights in zip(operator.idx, operator.weights):
+            shifted = values.take(idx, axis=1)
+            shifted -= anchor
+            shifted *= weights
+            numer += shifted
+        # no mask: the targets whose 0/0 or x/inf this leaves are
+        # overwritten below
         with np.errstate(divide="ignore", invalid="ignore"):
-            out += numer / operator.wsum[:, None]
-        out[operator.exact_hit] = anchor[operator.exact_hit]
+            out = anchor + numer / operator.wsum
+        out[:, operator.exact_hit] = anchor[:, operator.exact_hit]
 
-    out[operator.hole_rows] = values.take(operator.hole_sources, axis=0)
-    field_values = _to_field(out, operator.target, values.shape[1])
-    return DenseField(operator.target, field_values), {
-        "holes": operator.holes, "kernel": operator.kernel,
-        "footprint": operator.footprint}
+    out[:, operator.hole_rows] = values.take(operator.hole_sources, axis=1)
+    dims = operator.target.dims
+    field = DenseField(operator.target,
+                       out.reshape(dims if len(out) == 1 else (len(out),) + dims))
+    return field, {"holes": operator.holes, "kernel": operator.kernel,
+                   "footprint": operator.footprint}
 
 
 def interpolate(points: SourcePoints, target: GridSpec, kernel: KernelSpec,
@@ -551,14 +565,15 @@ def interpolate(points: SourcePoints, target: GridSpec, kernel: KernelSpec,
     per field.
     """
     operator = build_operator(points.positions, target, kernel, footprint)
-    return apply(operator, points.values)
+    return apply(operator, points.values.T)
 
 
 def _batch_weights(kernel: KernelSpec, offsets, dist, radii):
     """Kernel weight of every padded footprint entry.
 
     ``radii`` is each row's footprint support: the distance to the k-th
-    neighbor in n_closest mode, or the fixed footprint radius.  Voronoi
+    neighbor in n_closest mode, or the fixed footprint radius.  Only the
+    ellipsoidal kernel reads ``offsets`` (source minus target, (T, W, 3)).  Voronoi
     selection happens at footprint level and never reaches this function.
     """
     if kernel.kind == "linear":
@@ -579,13 +594,6 @@ def _batch_weights(kernel: KernelSpec, offsets, dist, radii):
     sigma = unit[None, None, :] * scale
     q = np.minimum(((offsets / sigma) ** 2).sum(axis=-1), 1e6)
     return np.exp(-0.5 * q)
-
-
-def _to_field(flat: np.ndarray, target: GridSpec, n_comp: int) -> np.ndarray:
-    dims = target.dims
-    if n_comp == 1:
-        return flat[:, 0].reshape(dims)
-    return np.moveaxis(flat.reshape(dims + (n_comp,)), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +637,6 @@ def resample_specs(policy: dict, origin, extent):
     return target, kernel, footprint
 
 
-def sample_values(field: DenseField) -> np.ndarray:
-    """A dense field's samples as (n, components) rows, in the order of
-    ``field.grid.sample_positions()``."""
-    if field.components == 1:
-        return field.values.reshape(-1, 1)
-    return np.moveaxis(field.values, 0, -1).reshape(-1, 3)
-
-
 def box_prefilter(field: DenseField, target: GridSpec) -> DenseField:
     """Optional anti-alias box filter sized to the coarsening ratio.
 
@@ -650,13 +650,9 @@ def box_prefilter(field: DenseField, target: GridSpec) -> DenseField:
     sizes = [r + 1 if r % 2 == 0 else r for r in ratios]  # odd windows
     if all(s == 1 for s in sizes):
         return field
-    if field.components == 1:
-        smoothed = ndimage.uniform_filter(
-            field.values.astype(np.float64), size=sizes, mode="nearest")
-    else:
-        smoothed = np.stack([
-            ndimage.uniform_filter(field.values[c].astype(np.float64),
-                                   size=sizes, mode="nearest")
-            for c in range(3)])
+    # window 1 on a vector field's component axis: each component alone
+    sizes = [1] * (field.values.ndim - 3) + sizes
+    smoothed = ndimage.uniform_filter(field.values.astype(np.float64),
+                                      size=sizes, mode="nearest")
     return DenseField(field.grid, smoothed)
 

@@ -11,7 +11,7 @@ from flowforge.config import config_hash, resolve_config
 from flowforge.errors import ConfigError, FieldError
 from flowforge.resample import (FootprintSpec, GridIndex, KernelSpec,
                                 SourcePoints, _batch_weights, _neighbor_sets_n_closest,
-                                _neighbor_sets_radius, _to_field, apply,
+                                _neighbor_sets_radius, apply,
                                 build_index, build_operator,
                                 default_k_for_grid, interpolate,
                                 make_target_grid, resample_specs,
@@ -216,15 +216,21 @@ def smallest_id_nearest(index, targets):
 
 
 def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
-    """Neighbor search, weights and accumulation in one pass, the way
-    ``interpolate`` computed them before the build/apply split.  The split
-    must reproduce these bytes exactly.  ``knn_sets`` optionally supplies
-    the n_closest neighbor sets, computed once for several kernels."""
+    """Neighbor search, weights and accumulation in one pass over (n, C)
+    source rows, the way ``interpolate`` computed them before the
+    build/apply split.  The split must reproduce these bytes exactly.
+    ``knn_sets`` optionally supplies the n_closest neighbor sets, computed
+    once for several kernels."""
     index = build_index(points.positions)
     targets = target.sample_positions()
     n_targets = len(targets)
     values = points.values
-    n_comp = values.shape[1]
+
+    def to_field(rows):
+        """(T, C) rows as a channels-first field array."""
+        if rows.shape[1] == 1:
+            return rows[:, 0].reshape(target.dims)
+        return np.moveaxis(rows.reshape(target.dims + (rows.shape[1],)), -1, 0)
 
     if footprint.mode == "n_closest":
         dist, idx, valid, radii = (
@@ -245,7 +251,7 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
         empty = ~valid[rows, first]
         if empty.any():
             nearest[empty] = smallest_id_nearest(index, targets[empty])
-        return _to_field(values[nearest], target, n_comp), int(empty.sum())
+        return to_field(values[nearest]), int(empty.sum())
 
     offsets = index.data[idx] - targets[:, None, :]
     weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii), 0.0)
@@ -254,7 +260,9 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
         wsum += column
     has_any = valid[:, 0]
     anchor = values[np.where(has_any, idx[:, 0], 0)]
-    numer = np.einsum("tn,tnc->tc", weights, values[idx] - anchor[:, None, :])
+    numer = np.zeros_like(anchor)
+    for n in range(idx.shape[1]):   # columns left to right, as ``apply`` does
+        numer += weights[:, n, None] * (values[idx[:, n]] - anchor)
     out = anchor.copy()
     ok = (wsum > 0) & np.isfinite(wsum) & has_any
     out[ok] += numer[ok] / wsum[ok, None]
@@ -263,7 +271,7 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
     rows = np.flatnonzero(~ok & ~exact_hit)
     if len(rows):
         out[rows] = values[smallest_id_nearest(index, targets[rows])]
-    return _to_field(out, target, n_comp), len(rows)
+    return to_field(out), len(rows)
 
 
 def circle_tie_sources(n=40):
@@ -387,14 +395,14 @@ class TestOperatorEquivalence:
         operator = build_operator(pts.positions, target, kernel, fp)
         # one operator serves a 3-component and a 1-component field
         for values in (pts.values, pts.values[:, 1]):
-            field, summary = apply(operator, values)
+            field, summary = apply(operator, values.T)
             want, holes = fused_interpolate(
                 SourcePoints(pts.positions, values), target, kernel, fp)
             assert field.values.dtype == want.dtype
             assert np.array_equal(field.values, want)
             assert summary["holes"] == holes
         one_shot, _ = interpolate(pts, target, kernel, fp)
-        again, _ = apply(operator, pts.values)
+        again, _ = apply(operator, pts.values.T)
         assert np.array_equal(one_shot.values, again.values)
 
     @pytest.mark.parametrize("layout", ["coincident", "cell_centred"])
@@ -406,8 +414,8 @@ class TestOperatorEquivalence:
         kernel, fp = KernelSpec(kind), FootprintSpec("n_closest", k=4)
         operator = build_operator(channel_sources.positions, target, kernel, fp)
         if kind != "voronoi":
-            assert operator.idx.shape[1] == widest
-        field, summary = apply(operator, channel_sources.values)
+            assert operator.idx.shape[0] == widest
+        field, summary = apply(operator, channel_sources.values.T)
         want, holes = fused_interpolate(channel_sources, target, kernel, fp,
                                         lattice_knn_sets[layout])
         assert np.array_equal(field.values, want)
@@ -424,9 +432,9 @@ class TestOperatorEquivalence:
                           dims=(120, 30, 30))
         op = build_operator(channel_sources.positions, target,
                             KernelSpec(kind), FootprintSpec("n_closest", k=4))
-        assert op.weights.shape[1] == 8
+        assert op.weights.shape[0] == 8
         want = [functools.reduce(float.__add__, row)
-                for row in op.weights.tolist()]
+                for row in op.weights.T.tolist()]
         assert np.array_equal(op.wsum, want)
 
     @pytest.mark.parametrize("layout", sorted(LATTICE_TARGETS))
@@ -490,11 +498,11 @@ class TestOperatorEquivalence:
         linear = KernelSpec("linear")
         four = build_operator(FOUR_TIED.positions, ORIGIN_ONLY, linear,
                               FootprintSpec("n_closest", k=2))
-        assert four.holes == 1 and four.idx.shape[1] == 4
+        assert four.holes == 1 and four.idx.shape[0] == 4
         ring = circle_tie_sources()
         overflow = build_operator(ring.positions, ORIGIN_ONLY, linear,
                                   FootprintSpec("n_closest", k=2))
-        assert overflow.idx.shape[1] == 40
+        assert overflow.idx.shape[0] == 40
         make_points, target, _, radius_fp = EQUIVALENCE_CASES["empty_radius"]
         empty = build_operator(make_points().positions, target,
                                KernelSpec("gaussian"), radius_fp)
@@ -504,13 +512,26 @@ class TestOperatorEquivalence:
                                  KernelSpec("shepard"), radius_fp)
         assert 0 < lattice.holes and lattice.exact_hit.any()
 
-    def test_value_count_must_match_operator(self):
+    @pytest.mark.parametrize("shape, components", [
+        (lambda n: (n,), 1), (lambda n: (1, n), 1), (lambda n: (3, n), 3),
+        (lambda n: (n, 3), None), (lambda n: (3, n - 1), None)],
+        ids=["n", "1xn", "3xn", "rows_nx3", "3xn_minus_1"])
+    def test_value_count_must_match_operator(self, shape, components):
+        """``apply`` takes channels-first values: (n,) or (1, n) give a
+        scalar field, (3, n) a vector field; (n, 3) rows are refused."""
         pts = lattice_sources(4)
         operator = build_operator(pts.positions, ORIGIN_ONLY,
                                   KernelSpec("linear"),
                                   FootprintSpec("n_closest", k=2))
-        with pytest.raises(FieldError, match="sources"):
-            apply(operator, pts.values[:-1])
+        values = np.ones(shape(len(pts.positions)))
+        if components is None:
+            with pytest.raises(FieldError, match="sources"):
+                apply(operator, values)
+        else:
+            field, _ = apply(operator, values)
+            assert field.components == components
+            assert np.array_equal(field.values,
+                                  np.ones(field.values.shape))
 
 
 # source grids and targets on which the grid index must give the k-d
@@ -595,8 +616,8 @@ class TestGridIndex:
             for name in OPERATOR_FIELDS:
                 a, b = getattr(ours, name), getattr(theirs, name)
                 assert (a is None and b is None) or np.array_equal(a, b), name
-            assert np.array_equal(apply(ours, values)[0].values,
-                                  apply(theirs, values)[0].values)
+            assert np.array_equal(apply(ours, values.T)[0].values,
+                                  apply(theirs, values.T)[0].values)
 
     def test_rows_reach_retries_and_whole_grid(self):
         """The table's rows take the retry windows, and a window that is the
@@ -808,6 +829,19 @@ class TestPrefilter:
         coarse = make_target_grid((0, 0, 0), (15, 15, 15), (3, 3, 3))
         out = box_prefilter(DenseField(grid, noisy), coarse)
         assert out.values.std() < noisy.std()
+
+    @pytest.mark.parametrize("cells", [(16, 8, 4), (4, 16, 2)],
+                             ids=["window_3x3x3", "window_9x1x5"])
+    def test_vector_field_filters_each_component(self, rng, cells):
+        from flowforge.resample import box_prefilter
+        grid = GridSpec(origin=(0, 0, 0), spacing=(1, 1, 1), dims=(33, 17, 9))
+        values = rng.normal(size=(3,) + grid.dims)
+        coarse = make_target_grid((0, 0, 0), (32, 16, 8), cells)
+        out = box_prefilter(DenseField(grid, values), coarse)
+        want = [box_prefilter(DenseField(grid, v), coarse).values
+                for v in values]
+        assert not np.array_equal(out.values, values)
+        assert np.array_equal(out.values, np.stack(want))
 
     def test_identity_when_not_coarsening(self):
         from flowforge.resample import box_prefilter
