@@ -28,7 +28,6 @@ import itertools
 import re
 import shutil
 import subprocess
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,8 +184,8 @@ def materialize_case(yaml_path, stl_path, templates_dir, cfg, out_root,
         if manifest.get("status") == "completed" and not force:
             return _record_from_manifest(case_dir, manifest)
         if manifest.get("status") == "completed" and force:
-            stamp = time.strftime("%Y%m%dT%H%M%S")
-            archive = case_dir / f"previous_{stamp}"
+            archive = next(case_dir / f"previous_{n}" for n in itertools.count(1)
+                           if not (case_dir / f"previous_{n}").exists())
             archive.mkdir()
             for name in ("velocity.npy", "velocity_avg.npy", "velocity.yaml",
                          "velocity_avg.yaml"):

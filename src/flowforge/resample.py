@@ -22,11 +22,13 @@ padded-set code as the radius footprint (:func:`_ball_sets`).  The
 operator is as wide as the widest tie set: 5 columns for k = 4 from the
 dx=16 channel grid onto the 128x32x32 target.
 
-Both queries run against one of two indexes with the same results, bit
-for bit.  Sources on the nodes of a ``GridSpec`` (every field ``forge
-resample`` reads) use a :class:`GridIndex`, which finds neighbors by
-arithmetic on per-axis windows of nodes; it needs no scipy and has nothing
-to build.  Scattered sources use a ``cKDTree`` (:func:`build_index`).
+Both queries run against one of two indexes that give the same
+footprints, bit for bit.  Sources on the nodes of a ``GridSpec`` (every
+field ``forge resample`` reads) use a :class:`GridIndex`, which finds
+neighbors by arithmetic on per-axis windows of nodes; it needs no scipy
+and has nothing to build.  Scattered sources use a ``cKDTree``
+(:func:`build_index`).  The nodes tied at a k + 1 probe's last distance,
+which no footprint holds, may differ between the two.
 Padded footprint columns weigh 0 and point at their row's nearest member,
 so a non-finite value outside a footprint never reaches its row.
 
@@ -152,7 +154,7 @@ _REACH_REL = 1e-9
 class GridIndex:
     """Exact k-nearest and ball queries over the nodes of a ``GridSpec``.
 
-    Gives the results of a ``cKDTree`` over ``grid.sample_positions()``
+    Answers a ``cKDTree``'s queries over ``grid.sample_positions()``
     from per-axis windows of nodes, with no tree to build or walk.
     Distances are ``sqrt((dx² + dy²) + dz²)`` with ``d = t - s``, the
     tree's own arithmetic, so they agree bit for bit.
@@ -213,7 +215,8 @@ class GridIndex:
     # -- queries -------------------------------------------------------------
     def nearest(self, targets, width: int):
         """The ``width`` nearest nodes of each target as (dist, idx) arrays,
-        each row sorted by (distance, node id)."""
+        each row sorted by (distance, node id); as in the tree, nodes tied
+        at the ``width``-th distance may be picked either way."""
         if not 1 <= width <= self.n:
             raise FieldError(f"cannot take {width} nearest of {self.n} nodes")
         dims = self._dims
@@ -253,28 +256,16 @@ class GridIndex:
         return dist, idx
 
     def _window_pass(self, targets, out, rows, lo, sizes, width, dist, idx):
-        """Write the ``width`` nearest window nodes of ``rows``, each window
-        of shape ``sizes`` at ``lo``, and return the rows that are not
-        certified exact."""
+        """Write the ``width`` nearest window nodes of ``rows`` (windows of
+        shape ``sizes`` at ``lo``, each holding ``width`` nodes or more;
+        ties at the ``width``-th distance picked either way), and return
+        the rows that are not certified exact."""
         failed = [rows[:0]]
         for part in self._chunks(rows, sizes):
             chunk, t, start = rows[part], targets[rows[part]], lo[part]
             d = np.sqrt(self._dist2(t, start, sizes))
-            if width < d.shape[1]:
-                pick = np.argpartition(d, width, axis=1)[:, :width + 1]
-                near = np.take_along_axis(d, pick, axis=1)
-                # when the next node ties the pick's farthest, a node left
-                # out may have a smaller id than one picked: such rows take
-                # a stable sort
-                after = near[:, width]
-                pick, near = pick[:, :width], near[:, :width]
-                tied = np.flatnonzero(after == near.max(axis=1))
-                pick[tied] = np.argsort(d[tied], axis=1,
-                                        kind="stable")[:, :width]
-                near[tied] = np.take_along_axis(d[tied], pick[tied], axis=1)
-            else:
-                pick = np.broadcast_to(np.arange(width), d.shape)
-                near = d
+            pick = np.argpartition(d, width - 1, axis=1)[:, :width]
+            near = np.take_along_axis(d, pick, axis=1)
             # (distance, window position) order is (distance, id) order
             order = np.lexsort((pick, near), axis=1)
             dist[chunk] = np.take_along_axis(near, order, axis=1)
@@ -310,28 +301,36 @@ class GridIndex:
         return bound
 
     def ball(self, targets, radius):
-        """(rows, members) pairs: every node within ``radius`` (a scalar or
-        one per target) of each target, a member when ``d² <= r*r`` as in
-        the tree."""
+        """Every node within ``radius`` (a scalar or one per target) of each
+        target, a member when ``d² <= r*r`` as in the tree, as (rows, dist,
+        members) sorted by (row, distance, node id)."""
         radius = np.broadcast_to(np.asarray(radius, dtype=np.float64),
                                  (len(targets),))
         # a member is within r (1 + a few ulp) of its target on every axis
         lo, sizes = self._box(targets, radius[:, None])
-        rows, members = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        rows, dist = [np.zeros(0, np.int64)], [np.zeros(0)]
+        members = [np.zeros(0, np.int64)]
         # a window empty along some axis is empty for every row
         for part in self._chunks(targets, sizes) if sizes.all() else ():
             r = radius[part]
-            inside = (self._dist2(targets[part], lo[part], sizes)
-                      <= (r * r)[:, None])
-            row, pos = np.nonzero(inside)
-            members.append(self._ids(lo[part][row], sizes, pos[:, None])[:, 0])
+            d2 = self._dist2(targets[part], lo[part], sizes)
+            d = np.where(d2 <= (r * r)[:, None], np.sqrt(d2), np.inf)
+            # a window's C order is id order, so a stable sort by distance
+            # puts each row's members first, in (distance, id) order
+            order = np.argsort(d, axis=1, kind="stable")
+            d = np.take_along_axis(d, order, axis=1)
+            row, col = np.nonzero(np.isfinite(d))
+            dist.append(d[row, col])
+            members.append(self._ids(lo[part][row], sizes,
+                                     order[row, col][:, None])[:, 0])
             rows.append(row + part.start)
-        return np.concatenate(rows), np.concatenate(members)
+        return tuple(map(np.concatenate, (rows, dist, members)))
 
 
 def _nearest(index, targets: np.ndarray, width: int):
     """The ``width`` nearest sources of each target as (dist, idx) arrays,
-    each row sorted by (distance, source id)."""
+    each row sorted by (distance, source id), ties at the ``width``-th
+    distance picked either way."""
     if isinstance(index, GridIndex):
         return index.nearest(targets, width)
     dist, idx = index.query(targets, k=list(range(1, width + 1)), workers=1)
@@ -342,31 +341,28 @@ def _nearest(index, targets: np.ndarray, width: int):
             np.take_along_axis(idx, order, axis=1))
 
 
-def _ball_pairs(index, targets: np.ndarray, radius):
-    """(rows, members): every source within ``radius`` of each target."""
-    if isinstance(index, GridIndex):
-        return index.ball(targets, radius)
-    lists = index.query_ball_point(targets, radius, workers=1)
-    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    members = np.fromiter(itertools.chain.from_iterable(lists),
-                          dtype=np.int64, count=int(counts.sum()))
-    return np.repeat(np.arange(len(targets)), counts), members
-
-
 def _ball_sets(index, targets: np.ndarray, radius):
     """Every source within ``radius`` (a scalar or one per target) of each
     target, as padded (dist, idx) arrays sorted by (distance, source id),
     with inf and 0 past a row's members, and the member count per row."""
-    rows, members = _ball_pairs(index, targets, radius)
-    d = np.linalg.norm(index.data[members] - targets[rows], axis=1)
-    order = np.lexsort((members, d, rows))
-    rows = rows[order]
+    # GridIndex.ball sorts its own rows; the tree's are measured and sorted here
+    if isinstance(index, GridIndex):
+        rows, d, members = index.ball(targets, radius)
+    else:
+        lists = index.query_ball_point(targets, radius, workers=1)
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        members = np.fromiter(itertools.chain.from_iterable(lists),
+                              dtype=np.int64, count=int(counts.sum()))
+        rows = np.repeat(np.arange(len(targets)), counts)
+        d = np.linalg.norm(index.data[members] - targets[rows], axis=1)
+        order = np.lexsort((members, d, rows))
+        rows, d, members = rows[order], d[order], members[order]
     counts = np.bincount(rows, minlength=len(targets))
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     width = max(1, int(counts.max(initial=0)))
     dist = np.full((len(targets), width), np.inf)
     idx = np.zeros((len(targets), width), dtype=np.int64)
-    dist[rows, cols], idx[rows, cols] = d[order], members[order]
+    dist[rows, cols], idx[rows, cols] = d, members
     return dist, idx, counts
 
 
@@ -474,11 +470,10 @@ def build_operator(sources, target: GridSpec, kernel: KernelSpec,
         idx = weights = wsum = exact_hit = None
         covered = has_any
     else:
-        # (T, W, 3): only the ellipsoidal kernel reads the offsets
-        offsets = (index.data[idx] - targets[:, None, :]
-                   if kernel.kind == "ellipsoidal_gaussian" else None)
-        weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii),
-                           0.0)
+        # only the ellipsoidal kernel reads offsets, one column at a time
+        weights = np.where(valid, _batch_weights(
+            kernel, lambda j: index.data[idx[:, j]] - targets, dist, radii),
+            0.0)
         idx = np.ascontiguousarray(idx.T)
         weights = np.ascontiguousarray(weights.T)
         # columns summed left to right, so a target's sum depends only on its
@@ -568,13 +563,13 @@ def interpolate(points: SourcePoints, target: GridSpec, kernel: KernelSpec,
     return apply(operator, points.values.T)
 
 
-def _batch_weights(kernel: KernelSpec, offsets, dist, radii):
-    """Kernel weight of every padded footprint entry.
+def _batch_weights(kernel: KernelSpec, offset, dist, radii):
+    """Kernel weight of every padded footprint entry of the (T, W) ``dist``.
 
     ``radii`` is each row's footprint support: the distance to the k-th
     neighbor in n_closest mode, or the fixed footprint radius.  Only the
-    ellipsoidal kernel reads ``offsets`` (source minus target, (T, W, 3)).  Voronoi
-    selection happens at footprint level and never reaches this function.
+    ellipsoidal kernel calls ``offset(j)``: column j's (T, 3) source minus
+    target offsets.  Voronoi selection happens at footprint level.
     """
     if kernel.kind == "linear":
         r = radii[:, None]
@@ -590,10 +585,11 @@ def _batch_weights(kernel: KernelSpec, offsets, dist, radii):
     # ellipsoidal_gaussian
     ecc = np.asarray(kernel.eccentricity, dtype=np.float64)
     unit = ecc / np.cbrt(np.prod(ecc))
-    scale = np.where(radii > 0, radii, 1.0)[:, None, None]
-    sigma = unit[None, None, :] * scale
-    q = np.minimum(((offsets / sigma) ** 2).sum(axis=-1), 1e6)
-    return np.exp(-0.5 * q)
+    sigma = unit * np.where(radii > 0, radii, 1.0)[:, None]
+    q = np.empty_like(dist)
+    for j in range(dist.shape[1]):
+        q[:, j] = ((offset(j) / sigma) ** 2).sum(axis=-1)
+    return np.exp(-0.5 * np.minimum(q, 1e6))
 
 
 # ---------------------------------------------------------------------------

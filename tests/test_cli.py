@@ -285,6 +285,25 @@ class TestOrchestrate:
         assert len(index) == 2
         assert all(e["status"] == "completed" for e in index.values())
 
+    def test_forced_reruns_archive_each_run(self, pipeline, tmp_path):
+        """Two forced reruns back to back both succeed, and each archives
+        the velocity field that the run before it left."""
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline["cases"], cases)
+        case_dirs = [p for p in cases.iterdir() if p.is_dir()]
+        for marker in (1.0, 2.0):
+            for case_dir in case_dirs:
+                export_npy(np.full((3, 2), marker), case_dir / "velocity.npy")
+            assert run(["orchestrate", *SMALL_OVERRIDES,
+                        "--scenes", pipeline["scenes"], "--sdf", pipeline["sdf"],
+                        "--out", cases, "--backend", "local", "--force"]) == 0
+        for case_dir in case_dirs:
+            assert sorted(p.name for p in case_dir.glob("previous_*")) == [
+                "previous_1", "previous_2"]
+            for n, marker in ((1, 1.0), (2, 2.0)):
+                archived = load_npy(case_dir / f"previous_{n}" / "velocity.npy")
+                assert np.array_equal(archived, np.full((3, 2), marker))
+
     def test_chunked_runs_into_one_out(self, tmp_path):
         # each chunk's provenance.json records that chunk's run
         scenes, sdf, cases = (tmp_path / n for n in ("scenes", "sdf", "cases"))

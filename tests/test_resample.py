@@ -75,7 +75,8 @@ def single_weight(spec, offset, radius=0.0):
     footprint support ``radius``."""
     offsets = np.asarray(offset, dtype=np.float64).reshape(1, 1, 3)
     dist = np.linalg.norm(offsets, axis=-1)
-    return _batch_weights(spec, offsets, dist, np.array([radius]))[0, 0]
+    return _batch_weights(spec, lambda j: offsets[:, j], dist,
+                          np.array([radius]))[0, 0]
 
 
 class TestKernelWeight:
@@ -254,7 +255,8 @@ def fused_interpolate(points, target, kernel, footprint, knn_sets=None):
         return to_field(values[nearest]), int(empty.sum())
 
     offsets = index.data[idx] - targets[:, None, :]
-    weights = np.where(valid, _batch_weights(kernel, offsets, dist, radii), 0.0)
+    weights = np.where(valid, _batch_weights(kernel, lambda j: offsets[:, j],
+                                             dist, radii), 0.0)
     wsum = np.zeros(n_targets)
     for column in weights.T:    # left to right, the specified sum order
         wsum += column
@@ -566,7 +568,7 @@ GRID_INDEX_ROWS = {
                     make_target_grid((20480, 0, 0), (2048, 512, 512),
                                      (31, 7, 7)),
                     (4, 8), (64.0,)),
-    "nodes_at_r": (GridSpec.preset(64), GridSpec.preset(64), (6,),
+    "nodes_at_r": (GridSpec.preset(64), GridSpec.preset(64), (1, 6),
                    (64.0, 64.0 * np.sqrt(2.0), 64.0 * np.sqrt(3.0))),
 }
 
