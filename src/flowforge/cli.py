@@ -377,12 +377,22 @@ _GATE_FIELDS = ("velocity_avg.npy", "velocity.npy")
 
 def _cmd_gate(args) -> int:
     case_dir = Path(args.case)
-    manifest = read_manifest(case_dir)
-    grid = GridSpec.from_dict(manifest["grid"])
-    mean_k, mean_km1 = (load_npy(case_dir / name).astype(np.float64)
+    read_manifest(case_dir)   # a case without a readable manifest is no case
+    # h and the sample area of the fields compared, on which all must lie
+    grid = GridSpec.from_dict(
+        read_field_sidecar(case_dir / "velocity_avg.yaml"))
+    shapes = {name: (3, *grid.dims) for name in _GATE_FIELDS}
+    shapes["sdf.npy"] = tuple(grid.dims)
+    arrays = {name: load_npy(case_dir / name) for name in shapes}
+    wrong = [f"{name} {arrays[name].shape}" for name in shapes
+             if arrays[name].shape != shapes[name]]
+    if wrong:
+        raise ArtifactIOError(
+            f"{case_dir}: {', '.join(wrong)} off the grid of "
+            f"velocity_avg.yaml (dims {list(grid.dims)})")
+    mean_k, mean_km1 = (arrays[name].astype(np.float64)
                         for name in _GATE_FIELDS)
-    phi = load_npy(case_dir / "sdf.npy")
-    mask = phi > 0
+    mask = arrays["sdf.npy"] > 0
     report = stationarity_gate(
         mean_k, mean_km1, mask,
         h=grid.spacing[0],

@@ -526,12 +526,13 @@ def synthetic_solver(case_dir) -> tuple[Path, Path]:
     where the SDF is positive and zero inside solids.  It has no time
     dependence, so the same array goes to ``velocity.npy`` and
     ``velocity_avg.npy``, and ``forge gate``, which compares the two,
-    reports ``eps_u`` = 0 on every case it ran.
+    reports ``eps_u`` = 0 on every case it ran.  Both take the SDF's grid,
+    as ``sdf.yaml`` records it, which need not be the manifest's.
     """
     case_dir = Path(case_dir)
     manifest = read_manifest(case_dir)
     sdf_path = case_dir / "sdf.npy"
-    if not sdf_path.exists():
+    if not sdf_path.exists() or not (case_dir / "sdf.yaml").exists():
         raise OrchestrationError(f"missing SDF in case {case_dir.name}")
     phi = load_npy(sdf_path)
     fluid = phi > 0
@@ -540,7 +541,7 @@ def synthetic_solver(case_dir) -> tuple[Path, Path]:
     for c in range(3):
         u[c][fluid] = inlet[c]
 
-    grid = GridSpec.from_dict(manifest["grid"])
+    grid = GridSpec.from_dict(read_yaml(case_dir / "sdf.yaml"))
     out_u = export_npy(u, case_dir / "velocity.npy")
     write_field_sidecar(case_dir / "velocity.yaml", grid, components=3,
                         kind="instantaneous")

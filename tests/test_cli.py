@@ -13,8 +13,10 @@ import yaml
 
 import flowforge.cli
 from flowforge.cli import main
+from flowforge.diagnostics import stationarity_gate
 from flowforge.errors import FieldError
-from flowforge.fields import export_npy, load_npy
+from flowforge.fields import (GridSpec, export_npy, load_npy,
+                              write_field_sidecar)
 from flowforge.orchestrate import read_index
 
 SMALL_OVERRIDES = [
@@ -606,6 +608,67 @@ class TestReportAndGate:
         from flowforge.fields import export_npy
         export_npy(u, case_dir / "velocity_avg.npy")
         assert run(["gate", "--case", case_dir]) == 1
+
+
+@pytest.fixture(scope="module")
+def coarse_sdf_case(tmp_path_factory):
+    """One ``--backend local`` case whose SDF was voxelized at dx=32 while
+    orchestrate kept the default dx=16 case grid (the README quick start
+    with ``forge sdf --dx 32``)."""
+    root = tmp_path_factory.mktemp("coarse_sdf")
+    scenes, sdf, cases = root / "scenes", root / "sdf", root / "cases"
+    assert run(["generate", "repeat=1", "seed=1", "--out", scenes]) == 0
+    assert run(["sdf", "--in", scenes, "--out", sdf, "--dx", "32"]) == 0
+    assert run(["orchestrate", "--scenes", scenes, "--sdf", sdf,
+                "--out", cases, "--backend", "local"]) == 0
+    (case_id,) = read_index(cases)
+    return cases, cases / case_id
+
+
+class TestSdfOffTheCaseGrid:
+    def test_velocity_resample_and_gate_use_the_sdf_grid(
+            self, coarse_sdf_case, tmp_path):
+        cases, case_dir = coarse_sdf_case
+        manifest = yaml.safe_load((case_dir / "manifest.yaml").read_text())
+        assert manifest["grid"]["dims"] == [128, 32, 32]
+        for name in ("velocity", "velocity_avg"):
+            sidecar = yaml.safe_load((case_dir / f"{name}.yaml").read_text())
+            shape = load_npy(case_dir / f"{name}.npy").shape
+            assert tuple(sidecar["dims"]) == shape[1:] == (64, 16, 16)
+        assert run(["resample", "--cases", cases,
+                    "--out", tmp_path / "tensors"]) == 0
+        # a starved outlet gives divergence, which scales with 1/h
+        gated = tmp_path / "case"
+        shutil.copytree(case_dir, gated)
+        u = load_npy(gated / "velocity_avg.npy").astype(np.float64)
+        u[0, -1] *= 0.5
+        export_npy(u, gated / "velocity_avg.npy")
+        assert run(["gate", "--case", gated]) == 1
+        report = stationarity_gate(
+            u, load_npy(gated / "velocity.npy").astype(np.float64),
+            load_npy(gated / "sdf.npy") > 0, h=32.0, sample_area=32.0 * 32.0)
+        assert report.eps2 > 0
+        assert yaml.safe_load((gated / "gate_report.yaml").read_text()) == {
+            **report.to_dict(), "compared": ["velocity_avg.npy",
+                                             "velocity.npy"]}
+
+    def test_gate_rejects_velocity_off_the_sdf_grid(
+            self, coarse_sdf_case, tmp_path, capsys):
+        # velocity on the dx=16 case grid beside the dx=32 SDF
+        case_dir = tmp_path / "case"
+        shutil.copytree(coarse_sdf_case[1], case_dir)
+        grid = GridSpec.from_dict(yaml.safe_load(
+            (case_dir / "manifest.yaml").read_text())["grid"])
+        u = np.ones((3, *grid.dims), dtype=np.float32)
+        for name in ("velocity", "velocity_avg"):
+            export_npy(u, case_dir / f"{name}.npy")
+            write_field_sidecar(case_dir / f"{name}.yaml", grid, components=3)
+        capsys.readouterr()
+        assert run(["gate", "--case", case_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("forge gate: ") and "sdf.npy" in err
+        assert not (case_dir / "gate_report.yaml").exists()
 
 
 class TestUnparseableArtifacts:

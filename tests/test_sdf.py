@@ -201,9 +201,9 @@ class TestPointTriangleKernel:
 
 
 class TestPairKernel:
-    """The band pass's pair entry against the dense kernel, on the float64
-    bit pattern of dist2, s and t: both must reduce every dot product the
-    same way, or the voxelizer's winners drift from the exhaustive scan."""
+    """One kernel, two layouts: on the float64 bit pattern of dist2, s and
+    t, the band pass's gathered pairs give the same bits as the dense (K, T)
+    block, or the voxelizer's winners would drift from the exhaustive scan."""
 
     @staticmethod
     def check(corners, points, seed):
