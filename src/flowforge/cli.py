@@ -29,8 +29,7 @@ from .fields import (DenseField, GridSpec, export_npy, load_npy,
 from .geometry import build_scene, draw_dimension, export_scene, read_stl
 from .geometry.export import read_scene_sidecar, scene_sidecars
 from .orchestrate import (BACKENDS, discover_pairs, materialize_case,
-                          plan_lanes, read_index, read_manifest, submit,
-                          synthetic_solver)
+                          plan_lanes, read_index, read_manifest, submit)
 from .resample import (ResampleOperator, apply, build_operator,
                        resample_specs)
 from .sampling import GeneratorState, freeze_dimension, load_state, save_state
@@ -262,8 +261,7 @@ def _cmd_orchestrate(args) -> int:
     backend = args.backend or orch["backend"]
     plan = plan_lanes(args.start, end, orch["lanes"])
     result = submit(records, plan, backend, out_dir,
-                    submit_command=orch["submit_command"],
-                    runner=synthetic_solver if backend == "local" else None)
+                    submit_command=orch["submit_command"])
     write_provenance(cfg, out_dir, len(records))
     print(f"orchestrate[{backend}]: {result.submitted} submitted, "
           f"{result.skipped_completed} already complete, "
@@ -309,15 +307,27 @@ def _cmd_resample(args) -> int:
                 field.grid, target, kernel, footprint)
         return apply(operator, field.values.reshape(field.components, -1))
 
+    def case_field(case_dir: Path, name: str, components: int) -> DenseField:
+        """``<name>.npy`` on the grid its ``<name>.yaml`` records."""
+        grid = GridSpec.from_dict(read_field_sidecar(case_dir / f"{name}.yaml"))
+        path = case_dir / f"{name}.npy"
+        values = load_npy(path)
+        shape = (3, *grid.dims) if components == 3 else tuple(grid.dims)
+        if values.shape != shape:
+            raise ArtifactIOError(
+                f"{path}: shape {values.shape} off the grid of {name}.yaml "
+                f"(dims {list(grid.dims)})")
+        return DenseField(grid, values)
+
     done = 0
     for case_id, entry in ordered:
         case_dir = cases_dir / case_id
-        vel_path = case_dir / "velocity_avg.npy"
-        if not vel_path.exists():
+        if not (case_dir / "velocity_avg.npy").exists():
             continue
-        meta = read_field_sidecar(case_dir / "velocity_avg.yaml")
-        grid = GridSpec.from_dict(meta)
-        vel_field = DenseField(grid, load_npy(vel_path))
+        # both fields are read and checked before any output of the case
+        vel_field = case_field(case_dir, "velocity_avg", 3)
+        phi_field = (case_field(case_dir, "sdf", 1)
+                     if (case_dir / "sdf.npy").exists() else None)
         if policy["prefilter"]:
             from .resample import box_prefilter
             vel_field = box_prefilter(vel_field, target)
@@ -326,12 +336,8 @@ def _cmd_resample(args) -> int:
         write_components(stem, "velocity", field.values)
 
         extra = {"holes_velocity": summary["holes"]}
-        sdf_path = case_dir / "sdf.npy"
-        if sdf_path.exists():
-            sdf_meta = read_field_sidecar(case_dir / "sdf.yaml")
-            sdf_grid = GridSpec.from_dict(sdf_meta)
-            phi_field, phi_summary = resample_field(
-                DenseField(sdf_grid, load_npy(sdf_path)))
+        if phi_field is not None:
+            phi_field, phi_summary = resample_field(phi_field)
             export_npy(phi_field.values, Path(str(stem) + "_sdf.npy"))
             mask = (phi_field.values > 0).astype(np.uint8)
             with atomic_open(Path(str(stem) + "_mask.npy")) as handle:

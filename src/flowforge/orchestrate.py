@@ -17,8 +17,9 @@ The backends share one lane walk (skip completed cases, skip the rest of
 a lane after a failure, chain each job on the previous one) and differ
 only in how one case is launched: ``slurm`` runs the submit command with
 ``--chdir=<case_dir>`` and an after-success dependency, ``local`` calls
-the runner with one thread per lane, and ``dry_run`` writes the command
-sequence to ``submission_plan.txt`` without other side effects.
+the runner on one case at a time in plan order, and ``dry_run`` writes
+the command sequence to ``submission_plan.txt`` without other side
+effects.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import itertools
 import re
 import shutil
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -393,47 +393,32 @@ def _scheduler_argv(submit_command: str, record: CaseRecord,
     return argv + [str(record.case_dir / "job_script.slurm")]
 
 
-def _walk_lanes(records: list[CaseRecord], plan: LanePlan, launch,
-                threaded: bool = False) -> SubmitResult:
-    """Walk every lane in order, calling ``launch(record, lane_no,
-    position, previous_job_id)`` for each case to run.
+def _walk_lanes(records: list[CaseRecord], plan: LanePlan,
+                launch) -> SubmitResult:
+    """Walk the lanes in plan order, one case at a time, calling
+    ``launch(record, lane_no, position, previous_job_id)`` for each case to
+    run.
 
     ``launch`` returns the job id the lane's next case chains on, or None
     when the case failed.  Completed cases are skipped, and so is the rest
-    of a lane after a failure.  With ``threaded`` each lane is walked on its
-    own thread; the result is tallied in plan order either way.
+    of a lane after a failure.
     """
-    def walk(lane_no: int) -> list[tuple[str, str]]:
-        outcomes, previous, failed = [], None, False
-        for position, index in enumerate(plan.lanes[lane_no]):
+    result = SubmitResult()
+    for lane_no, lane in enumerate(plan.lanes):
+        previous, failed = None, False
+        for position, index in enumerate(lane):
             record = records[index - plan.start]
             if record.status == "completed":
-                outcome = "completed"
+                result.skipped_completed += 1
             elif failed:
-                outcome = "skipped"
+                result.skipped_after_failure.append(record.case_id)
             else:
                 previous = launch(record, lane_no, position, previous)
                 failed = previous is None
-                outcome = "failed" if failed else "submitted"
-            outcomes.append((record.case_id, outcome))
-        return outcomes
-
-    lanes = range(len(plan.lanes))
-    if threaded:
-        with ThreadPoolExecutor(max_workers=len(plan.lanes)) as pool:
-            walked = list(pool.map(walk, lanes))
-    else:
-        walked = [walk(lane_no) for lane_no in lanes]
-    result = SubmitResult()
-    for case_id, outcome in itertools.chain.from_iterable(walked):
-        if outcome == "completed":
-            result.skipped_completed += 1
-        elif outcome == "submitted":
-            result.submitted += 1
-        elif outcome == "failed":
-            result.failed.append(case_id)
-        else:
-            result.skipped_after_failure.append(case_id)
+                if failed:
+                    result.failed.append(record.case_id)
+                else:
+                    result.submitted += 1
     return result
 
 
@@ -446,9 +431,9 @@ def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
     launched.  ``dry_run`` writes the command sequence to
     ``submission_plan.txt`` and nothing else.  ``slurm`` and ``local``
     write each case's manifest once its outcome is known, then rebuild
-    ``index.yaml`` from the manifests.  ``local`` walks the lanes
-    concurrently and calls ``runner`` (default: the synthetic solver) per
-    case; a runner failure ends only its own lane.
+    ``index.yaml`` from the manifests.  ``local`` calls ``runner``
+    (default: the synthetic solver) on one case at a time, in plan order; a
+    runner failure ends only its own lane.
     """
     if backend not in BACKENDS:
         raise OrchestrationError(f"unknown backend {backend!r}")
@@ -510,7 +495,7 @@ def submit(records: list[CaseRecord], plan: LanePlan, backend: str,
             _persist(record)
             return record.job_id if record.status == "completed" else None
 
-    result = _walk_lanes(records, plan, launch, threaded=backend == "local")
+    result = _walk_lanes(records, plan, launch)
     _write_index(out_root)
     return result
 

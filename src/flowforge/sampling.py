@@ -4,6 +4,10 @@ Both modes share one bookkeeping contract: every draw *and* every rejection
 advances ``index`` by exactly one, so the k-th emitted vector is a pure
 function of (mode, seed, dimension, k).  Interrupting a run and resuming
 from a saved state therefore reproduces the uninterrupted stream exactly.
+``forge generate`` saves the state after each scene's STL and YAML; a kill
+between those writes leaves the previous state, so the rerun rebuilds
+scene i from the same ordinals and atomically replaces both files with
+the same bytes.
 
 Sobol vectors are built with the Gray-code construction over the Joe--Kuo
 direction numbers embedded in :mod:`flowforge._directions`.  The all-zeros

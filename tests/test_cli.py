@@ -337,6 +337,26 @@ class TestResampleStage:
         assert meta["kernel"] == "linear"
         assert meta["num_neighbours"] == 4  # schedule for 128x32x32
 
+    @pytest.mark.parametrize("name, shape", [
+        ("velocity_avg.npy", (3, 64, 16, 16)), ("sdf.npy", (64, 16, 16))])
+    def test_field_off_its_sidecar_grid_exits_2(self, pipeline, tmp_path,
+                                                 capsys, name, shape):
+        cases, out = tmp_path / "cases", tmp_path / "tensors"
+        shutil.copytree(pipeline["cases"], cases)
+        (case_id,) = [case_id for case_id, entry in read_index(cases).items()
+                      if entry["stem"] == "object_0"]
+        export_npy(np.zeros(shape, dtype=np.float32), cases / case_id / name)
+        capsys.readouterr()
+        assert run(["resample", *SMALL_OVERRIDES, "--cases", cases,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("forge resample: ")
+        assert str(cases / case_id / name) in err and str(shape) in err
+        assert "[128, 32, 32]" in err
+        # both fields are checked before the case writes anything
+        assert not list(out.glob("object_0_*"))
+
 
 # the classic INI resampler layout; [output] is ignored
 SETTINGS_INI = """

@@ -3,7 +3,6 @@ import hashlib
 import io
 import itertools
 import os
-import threading
 import time
 from pathlib import Path
 
@@ -321,6 +320,20 @@ class TestSubmit:
         assert manifest["status"] == "completed"
         assert "error" not in manifest
 
+    def test_local_runs_cases_in_plan_order(self, scene_tree, tmp_path):
+        out = tmp_path / "cases"
+        records = materialize_all(scene_tree, out)
+        seen = []
+
+        def runner(case_dir):
+            seen.append(Path(case_dir))
+            if Path(case_dir) == records[0].case_dir:
+                time.sleep(0.05)  # lane [2, 3] does not run ahead of it
+            return synthetic_solver(case_dir)
+
+        submit(records, plan_lanes(0, 4, 2), "local", out, runner=runner)
+        assert seen == [record.case_dir for record in records]
+
     def test_lane_order_deterministic(self, scene_tree, tmp_path):
         out = tmp_path / "cases"
         records = materialize_all(scene_tree, out)
@@ -451,7 +464,7 @@ class TestIndex:
         out = tmp_path / "cases"
         records = materialize_all(scene_tree, out)
         plan = plan_lanes(0, 4, 2)  # lanes [0,1], [2,3]
-        # delaying one lane's failure reverses the order the threads finish in
+        # delaying one lane's failure changes no outcome or its order
         for slow in (records[0].case_dir, records[2].case_dir, None) * 2:
             def runner(case_dir, slow=slow):
                 if Path(case_dir) == slow:
@@ -489,13 +502,11 @@ class TestCrashRecovery:
         """Make the n-th ``_write_manifest`` call raise (n = 0: none);
         returns the list of calls."""
         real_write = orchestrate._write_manifest
-        lock, calls = threading.Lock(), []
+        calls = []
 
         def faulty(case_dir, manifest):
-            with lock:
-                calls.append(Path(case_dir).name)
-                nth = len(calls)
-            if nth == n:
+            calls.append(Path(case_dir).name)
+            if len(calls) == n:
                 raise OSError("injected manifest write fault")
             real_write(case_dir, manifest)
 
@@ -505,9 +516,14 @@ class TestCrashRecovery:
     def test_any_manifest_write_fault_reruns_to_same_tree(
             self, scene_tree, tmp_path, monkeypatch):
         reference = tmp_path / "reference"
-        with monkeypatch.context() as m:
-            calls = self.fail_nth_manifest_write(m, 0)
-            assert self.orchestrate(scene_tree, reference) == 0
+        sequences = []
+        for out in (reference, tmp_path / "reference_again"):
+            with monkeypatch.context() as m:
+                sequences.append(self.fail_nth_manifest_write(m, 0))
+                assert self.orchestrate(scene_tree, out) == 0
+        # the n-th manifest write is the same write on every run
+        calls = sequences[0]
+        assert sequences[1] == calls
         # one write per case when materialized, one when its outcome is known
         assert len(calls) == 8
         expected = self.tree(reference)
@@ -516,8 +532,10 @@ class TestCrashRecovery:
         for n in range(1, len(calls) + 1):
             out = tmp_path / f"crash_{n}"
             with monkeypatch.context() as m:
-                self.fail_nth_manifest_write(m, n)
+                faulted = self.fail_nth_manifest_write(m, n)
                 assert self.orchestrate(scene_tree, out) == 2, n
+            # it wrote the first n - 1 and failed on the n-th, then stopped
+            assert faulted == calls[:n], n
             assert not (out / "index.yaml").exists(), n
             assert self.orchestrate(scene_tree, out) == 0, n
             assert self.tree(out) == expected, n
