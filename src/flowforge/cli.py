@@ -179,8 +179,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sdf(args) -> int:
-    # scipy loads first: imported mid-stage, after the arrays, it adds peak RSS
-    import scipy.ndimage  # noqa: F401
     cfg = _resolve(args)
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out)
@@ -207,8 +205,8 @@ def _cmd_sdf(args) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
-        # fork, not spawn: workers start with numpy, scipy and flowforge
-        # loaded, and this process runs no other thread while it forks them
+        # fork, not spawn: workers start with numpy and flowforge loaded,
+        # and this process runs no other thread while it forks them
         context = multiprocessing.get_context("fork")
         try:
             with ProcessPoolExecutor(workers, mp_context=context) as pool:

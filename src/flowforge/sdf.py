@@ -25,9 +25,10 @@ together with its box; a triangle's is its own plane (half-thickness 0) and
 the disk about its centroid.  Inside a leaf only the pairs whose bound is
 within the smallest of those three limits, widened by the triangle's
 rounding slack, reach the exact kernel.  Each band voxel keeps its winning
-triangle and closest point, and the signs are taken in one pass after the
-scan.  Far voxels get their sign from one exact query per connected
-far-field component of the block and are clamped to the band edge.
+triangle and closest point, and the signs are taken after the scan.  Far
+voxels are clamped to the band edge and take the sign of the last band
+voxel before them in their x-row, +1 where there is none (sign propagation:
+Jones, Baerentzen & Sramek, "3D distance fields: a survey", TVCG 2006).
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from .geometry.mesh import TriMesh
 
 _LEAF_SIZE = 16
 
-# point-triangle pairs per kernel or bound call; bounds their (K, T, 3)
-# temporaries to a few MB whatever the number of points
-_PAIR_BUDGET = 1 << 18
+# point-triangle pairs per kernel or bound call, whatever the number of
+# points: one band-pass chunk holds at most 11.5 MiB of temporaries, when
+# every pair reaches the exact kernel (measured with tracemalloc)
+_PAIR_BUDGET = 1 << 15
 
 # feature codes from point-triangle classification
 _F_V0, _F_V1, _F_V2, _F_E01, _F_E12, _F_E20, _F_FACE = range(7)
@@ -529,11 +531,20 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
     run in chunks of at most ``_PAIR_BUDGET`` pairs.  A voxel's first
     minimum in leaf order replaces its distance on a strict improvement, and
     the winning triangle and closest point give the band voxels their signs
-    in one ``_side`` call after the scan.  A culled leaf or pair can never
-    hold the first minimum, so the result equals the exhaustive leaf-by-leaf
-    scan bit for bit.  Far voxels get their sign from one exact query per
-    connected far-field component of the block and are clamped to the band
-    edge.
+    after the scan, in ``_side`` calls of at most ``_PAIR_BUDGET`` voxels.
+    A culled leaf or pair can never hold the first minimum, so the result
+    equals the exhaustive leaf-by-leaf scan bit for bit.
+
+    Far voxels are clamped to the band edge and take their signs in one
+    sweep along x: each takes the sign of the last band voxel before it in
+    its x-row, or +1 where there is none.  A far voxel's distance exceeds
+    band_lu >= spacing[0], so the ball of that radius about it holds no
+    surface and does hold its x-neighbour: the two lie on the same side.
+    A far run that starts at the block's low-x face is outside the solid,
+    because that face lies below the mesh's bounding box or on the grid's
+    own face, which the solid does not cross.  The sweep runs along x
+    because band_lu is measured in x spacing; with ``aniso`` the y and z
+    spacings may be wider.
     """
     if band_w < 1:
         raise FieldError("narrow-band half-width must be at least 1 voxel")
@@ -602,29 +613,20 @@ def voxelize(mesh: TriMesh, grid: GridSpec, band_w: int = 8,
             tri[rows], s[rows], t[rows])
 
     # band voxels: the sign of each one's winning closest point
+    del ub
     sign = np.ones(shape, dtype=np.int8)
-    band = np.nonzero(dist <= band_lu)
-    pts = np.column_stack([axes[a][band[a]] for a in range(3)])
-    sign[band] = accel._side(pts, win_tri[band], win_s[band], win_t[band])
+    near = dist <= band_lu
+    band = np.flatnonzero(near)
+    for start in range(0, len(band), _PAIR_BUDGET):
+        ijk = np.unravel_index(band[start:start + _PAIR_BUDGET], shape)
+        pts = np.column_stack([axes[a][ijk[a]] for a in range(3)])
+        sign[ijk] = accel._side(pts, win_tri[ijk], win_s[ijk], win_t[ijk])
 
-    # far-field: clamp, one exact sign query per connected component
-    far = dist > band_lu
-    if far.any():
-        from scipy import ndimage   # on first use: see README "Dependencies"
-        structure = ndimage.generate_binary_structure(3, 1)
-        labels, n_comp = ndimage.label(far, structure=structure)
-        comp_ids, first_flat = np.unique(labels.ravel(), return_index=True)
-        comp_sign = np.ones(n_comp + 1, dtype=np.int8)
-        origin = np.asarray(grid.origin)
-        spacing = np.asarray(grid.spacing)
-        offset = np.array([sl.start for sl in block])
-        for comp, flat in zip(comp_ids, first_flat):
-            if comp == 0:
-                continue
-            ijk = np.asarray(np.unravel_index(flat, shape)) + offset
-            rep = origin + spacing * ijk
-            comp_sign[comp] = 1 if signed_distance_at(accel, rep) >= 0 else -1
-        sign[far] = comp_sign[labels[far]]
+    # far voxels: the sign of the last band voxel before each in its x-row.
+    # Where there is none the gather reads the row's first voxel, which is
+    # then far itself and still +1.
+    last = np.where(near, np.arange(shape[0], dtype=np.int32)[:, None, None], 0)
+    sign = np.take_along_axis(sign, np.maximum.accumulate(last, axis=0), axis=0)
 
     phi[block] = sign * np.minimum(dist, band_lu)
     return DenseField(grid, phi)

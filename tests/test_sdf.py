@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,6 +589,15 @@ def _generated_scene(number_of_objects, seed):
     return concatenate([placed.mesh for placed in scene.objects])
 
 
+def _hollow_shell(outer, inner, segments, center):
+    """The sphere of radius ``outer`` less the sphere of radius ``inner``,
+    whose triangles are wound inward."""
+    cavity = _solid("sphere", {**_SPHERE, "radius": inner}, segments, center)
+    return concatenate([
+        _solid("sphere", {**_SPHERE, "radius": outer}, segments, center),
+        TriMesh(cavity.vertices, cavity.triangles[:, ::-1])])
+
+
 def _placed_sphere(radius, segments, center):
     params = {"radius": radius, "alpha": None, "beta": None, "gamma": None}
     solid = tessellate("sphere", params, segments)
@@ -676,6 +686,10 @@ class TestVoxelizeEquivalence:
             _rotated_solid("cylinder", _PLATE, 64, (0.3, 1.2, -0.4),
                            (800.4, 256.3, 255.2)),
             GridSpec.preset(8), 8),
+        # the cavity is a far region that the solid encloses
+        "hollow_shell_dx8": lambda: (
+            _hollow_shell(200.0, 140.0, 64, (1000.6, 256.4, 255.3)),
+            GridSpec.preset(8), 2),
     }
 
     def test_sliver_cone_is_thin(self):
@@ -795,6 +809,23 @@ class TestBandPassWork:
         bounded, exact = _band_pass_pairs(monkeypatch, *self.SCENE())
         assert bounded <= 5_000_000
         assert exact <= 865_000
+
+
+class TestVoxelizeMemory:
+    """What ``voxelize`` allocates beside its output, measured with
+    tracemalloc, which sees NumPy's buffers.  On the benchmark's wedge at
+    dx=4 the peak is 25.8 MiB above the 32 MiB output; the bound leaves
+    6 MiB of headroom."""
+
+    def test_wedge_dx4_peak_above_output(self):
+        mesh = _solid("wedge", _WEDGE, 16, (1000.4, 255.3, 257.6))
+        tracemalloc.start()
+        try:
+            field = voxelize(mesh, GridSpec.preset(4), band_w=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - field.values.nbytes <= 32 << 20
 
 
 class TestNpyFormat:
