@@ -139,9 +139,12 @@ def _recorded_count(path: Path) -> int:
 # Stages
 # ---------------------------------------------------------------------------
 def _cmd_generate(args) -> int:
-    # scipy loads first: imported mid-stage, after the arrays, it adds peak RSS
-    import scipy.spatial  # noqa: F401
     cfg = _resolve(args)
+    if cfg.data["number_of_objects"] > 1:
+        # only a scene of two or more objects builds the clearance guard's
+        # vertex trees.  scipy loads first: imported mid-stage, after the
+        # arrays, it adds peak RSS
+        import scipy.spatial  # noqa: F401
     digest = config_hash(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

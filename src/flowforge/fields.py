@@ -60,6 +60,11 @@ class GridSpec:
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
+    def positions(self, ids) -> np.ndarray:
+        """``sample_positions()[ids]``, without building every position."""
+        return np.column_stack([self.axis_coords(a)[i] for a, i in
+                                enumerate(np.unravel_index(ids, self.dims))])
+
     def to_dict(self) -> dict:
         return {"origin": list(self.origin), "spacing": list(self.spacing),
                 "dims": list(self.dims)}

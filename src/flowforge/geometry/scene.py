@@ -302,7 +302,7 @@ def build_scene(cfg, state: GeneratorState) -> Scene:
         context: list[_ContextEntry] = []
         scene_retries = 0
         scene_ok = True
-        for _slot in range(data["number_of_objects"]):
+        for slot in range(data["number_of_objects"]):
             placed = None
             for _attempt in range(retry_budget + 1):
                 vec = next_point(state)
@@ -320,7 +320,10 @@ def build_scene(cfg, state: GeneratorState) -> Scene:
                 scene_ok = False
                 break
             objects.append(placed)
-            context.append(_context_entry(placed))
+            # only a later slot validates against this object: the last one
+            # builds no vertex tree
+            if slot < data["number_of_objects"] - 1:
+                context.append(_context_entry(placed))
         if not scene_ok:
             restarts += 1
             continue

@@ -15,6 +15,15 @@ form of the two.  :func:`apply` takes a field in its own channels-first
 layout, (n,) or (C, n) over the source samples, and returns the target
 field in that layout.
 
+Both work through the target rows in chunks of one fixed size
+(``_ROW_CHUNK``), so that their temporaries stay a few MB and only the
+operator and the resampled field are whole.  A build makes each chunk's
+target positions, neighbor sets and weights on their own; the operator
+keeps one array per footprint column, with int32 source ids when the
+source count allows.  An apply gathers a float32 field as float32 and
+widens each chunk to float64, which is exact.  The chunks change no bit
+of an operator or a field.
+
 A tie-inclusive k-nearest set is found in two steps.  Every target
 queries k + 1 neighbors; only a target whose (k+1)-th neighbor ties the
 k-th takes one ball query out to the tie distance, through the same
@@ -163,7 +172,6 @@ class GridIndex:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.n = int(np.prod(grid.dims))
-        self.data = grid.sample_positions()
         self._axes = [grid.axis_coords(a) for a in range(3)]
         self._dims = np.asarray(grid.dims)
 
@@ -407,23 +415,39 @@ def _neighbor_sets_radius(index, targets: np.ndarray, r: float):
 # ---------------------------------------------------------------------------
 # Interpolation operator
 # ---------------------------------------------------------------------------
+# target rows per chunk of a build or an apply: bounds every (rows, width)
+# temporary of either to a few MB whatever the size of the target grid.
+# Larger chunks free enough at once for the allocator to hand it back to
+# the system and fault it in again on the next chunk: on the e2e layout,
+# 8,192 rows took 2.7 times the page faults of one whole-grid pass, and
+# 4,096 rows 0.3 times
+_ROW_CHUNK = 1 << 12
+
+
+def _row_chunks(n: int):
+    """Target rows 0..n in slices of at most _ROW_CHUNK rows."""
+    return (slice(start, min(start + _ROW_CHUNK, n))
+            for start in range(0, n, _ROW_CHUNK))
+
+
 @dataclass(frozen=True, eq=False)
 class ResampleOperator:
     """Footprints and kernel weights from one source layout to one target grid.
 
     Targets are in ``GridSpec.sample_positions`` order.  ``idx`` and
-    ``weights`` hold one footprint column per row, W rows of T targets,
-    so that :func:`apply` adds one column at a time.  The weights keep the
-    padded footprint width and are not normalized, so :func:`apply`
-    performs exactly the arithmetic of a one-shot interpolation.
+    ``weights`` hold W footprint columns, each a (T,) array over the
+    targets, so that :func:`apply` adds one column at a time.  Source ids
+    are int32 when the source count allows.  The weights keep the padded
+    footprint width and are not normalized, so :func:`apply` performs
+    exactly the arithmetic of a one-shot interpolation.
     """
     target: GridSpec
     kernel: str
     footprint: str
     n_sources: int
     anchor: np.ndarray               # (T,) nearest footprint member
-    idx: np.ndarray | None           # (W, T) footprint ids; None for voronoi
-    weights: np.ndarray | None       # (W, T), zero outside the footprint
+    idx: tuple | None                # W (T,) footprint ids; None for voronoi
+    weights: tuple | None            # W (T,), zero outside the footprint
     wsum: np.ndarray | None          # (T,) column sums of ``weights``
     exact_hit: np.ndarray | None     # rows on a source: take it unchanged
     hole_rows: np.ndarray            # rows with no usable weight ...
@@ -443,63 +467,92 @@ def build_operator(sources, target: GridSpec, kernel: KernelSpec,
     scattered source positions (searched through :func:`build_index`).
     Depends only on where the sources are, never on their values: one
     operator serves every field sampled there.
+
+    The targets are worked through in chunks of ``_ROW_CHUNK`` rows, each
+    with its own target positions, neighbor sets and weights, so that only
+    the operator is whole.  A chunk whose footprints are wider than any
+    before it adds columns, whose earlier rows point at their anchor with
+    weight 0: the operator is the one a single chunk gives, bit for bit.
     """
     index = (GridIndex(sources) if isinstance(sources, GridSpec)
              else build_index(sources))
-    targets = target.sample_positions()
+    # source positions by id: a grid's from its axes, a tree's from its points
+    positions = (sources.positions if isinstance(sources, GridSpec)
+                 else index.data.__getitem__)
+    n_targets = int(np.prod(target.dims))
+    id_type = np.int32 if index.n <= np.iinfo(np.int32).max else np.int64
+    anchor = np.empty(n_targets, dtype=id_type)
+    idx_columns, weight_columns = [], []
+    weighted = kernel.kind != "voronoi"
+    wsum = np.zeros(n_targets) if weighted else None
+    exact_hit = np.empty(n_targets, dtype=bool) if weighted else None
+    hole_rows, hole_sources = [np.zeros(0, np.int64)], [np.zeros(0, id_type)]
 
-    if footprint.mode == "n_closest":
-        dist, idx, valid, radii = _neighbor_sets_n_closest(
-            index, targets, footprint.k)
-    else:
-        dist, idx, valid, _ = _neighbor_sets_radius(
-            index, targets, footprint.radius)
-        radii = np.full(len(targets), float(footprint.radius))
+    for rows in _row_chunks(n_targets):
+        targets = target.positions(np.arange(rows.start, rows.stop))
+        if footprint.mode == "n_closest":
+            dist, idx, valid, radii = _neighbor_sets_n_closest(
+                index, targets, footprint.k)
+        else:
+            dist, idx, valid, _ = _neighbor_sets_radius(
+                index, targets, footprint.radius)
+            radii = np.full(len(targets), float(footprint.radius))
 
-    # rows are sorted by (distance, source id) with the footprint as a
-    # prefix, so column 0 is the nearest member and equidistant ties break
-    # to the smallest id
-    has_any = valid[:, 0]
-    anchor = np.where(has_any, idx[:, 0], 0)
-    # padded columns weigh 0 but point at the anchor, whose shifted value
-    # is +0.0: a non-finite value outside the footprint stays out of the row
-    idx = np.where(valid, idx, anchor[:, None])
+        # rows are sorted by (distance, source id) with the footprint as a
+        # prefix, so column 0 is the nearest member and equidistant ties
+        # break to the smallest id
+        has_any = valid[:, 0]
+        near = anchor[rows] = np.where(has_any, idx[:, 0], 0)
+        covered = has_any       # voronoi: the nearest source wins
+        if weighted:
+            # padded columns weigh 0 but point at the anchor, whose shifted
+            # value is +0.0: a non-finite value outside the footprint stays
+            # out of the row
+            idx = np.where(valid, idx, near[:, None])
+            # only the ellipsoidal kernel reads offsets, one column at a time
+            weights = np.where(valid, _batch_weights(
+                kernel, lambda j: positions(idx[:, j]) - targets,
+                dist, radii), 0.0)
+            # a chunk wider than any before adds columns: their earlier rows,
+            # like a narrower chunk's rows below, point at their anchor with
+            # weight 0 (the columns start at 0)
+            while len(idx_columns) < idx.shape[1]:
+                idx_columns.append(anchor.copy())
+                weight_columns.append(np.zeros(n_targets))
+            for j, (column, weight) in enumerate(zip(idx_columns,
+                                                     weight_columns)):
+                if j < idx.shape[1]:
+                    column[rows], weight[rows] = idx[:, j], weights[:, j]
+                else:
+                    column[rows] = near
+            # columns summed left to right, so a target's sum depends only on
+            # its own footprint, not on the operator width (NumPy's pairwise
+            # sum regroups rows of 8 or more columns); the +0.0 of a padded
+            # column leaves every sum as it is
+            row_sum = wsum[rows]
+            for weight in weight_columns:
+                row_sum += weight[rows]
+            exact = exact_hit[rows] = has_any & (dist[:, 0] == 0.0)
+            covered = ((row_sum > 0) & np.isfinite(row_sum) & has_any) | exact
 
-    if kernel.kind == "voronoi":
-        # nearest source wins
-        idx = weights = wsum = exact_hit = None
-        covered = has_any
-    else:
-        # only the ellipsoidal kernel reads offsets, one column at a time
-        weights = np.where(valid, _batch_weights(
-            kernel, lambda j: index.data[idx[:, j]] - targets, dist, radii),
-            0.0)
-        idx = np.ascontiguousarray(idx.T)
-        weights = np.ascontiguousarray(weights.T)
-        # columns summed left to right, so a target's sum depends only on its
-        # own footprint, not on the operator width (NumPy's pairwise sum
-        # regroups rows of 8 or more columns)
-        wsum = np.zeros(len(targets))
-        for column in weights:
-            wsum += column
-        ok = (wsum > 0) & np.isfinite(wsum) & has_any
-        exact_hit = has_any & (dist[:, 0] == 0.0)
-        covered = ok | exact_hit
-
-    # all weights vanished (e.g. linear kernel with every d == R, or an
-    # empty radius footprint): nearest-neighbor fallback, flagged, with
-    # equidistant sources breaking to the smallest id like the anchor
-    hole_rows = np.flatnonzero(~covered)
-    hole_sources = anchor[hole_rows]
-    if footprint.mode == "radius" and len(hole_rows):
-        hole_sources = _neighbor_sets_n_closest(
-            index, targets[hole_rows], 1)[1][:, 0]
+        # all weights vanished (e.g. linear kernel with every d == R, or an
+        # empty radius footprint): nearest-neighbor fallback, flagged, with
+        # equidistant sources breaking to the smallest id like the anchor
+        holes = np.flatnonzero(~covered)
+        if len(holes):
+            hole_rows.append(holes + rows.start)
+            hole_sources.append(
+                near[holes] if footprint.mode == "n_closest"
+                else _neighbor_sets_n_closest(index, targets[holes], 1)[1][:, 0])
 
     return ResampleOperator(
         target=target, kernel=kernel.kind, footprint=footprint.mode,
-        n_sources=index.n, anchor=anchor, idx=idx,
-        weights=weights, wsum=wsum, exact_hit=exact_hit,
-        hole_rows=hole_rows, hole_sources=hole_sources)
+        n_sources=index.n, anchor=anchor,
+        idx=tuple(idx_columns) if weighted else None,
+        weights=tuple(weight_columns) if weighted else None,
+        wsum=wsum, exact_hit=exact_hit,
+        hole_rows=np.concatenate(hole_rows),
+        hole_sources=np.concatenate(hole_sources))
 
 
 def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
@@ -508,8 +561,13 @@ def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
     ``values`` is channels first, like ``DenseField.values`` flattened
     over the grid: (n,) or (1, n) for a scalar field, (3, n) for a vector
     field, with n the operator's source count.  Returns the dense field
-    (scalar or 3-component, channels first) and a summary dict with the
-    hole count and the effective footprint.
+    (scalar or 3-component, channels first, float64) and a summary dict
+    with the hole count and the effective footprint.
+
+    The targets are worked through in the build's chunks of rows, in
+    buffers reused from chunk to chunk, so only the (C, T) result is
+    whole.  A float32 field is gathered as float32 and widened to float64
+    per chunk, which is exact; any other field is taken as float64.
 
     The weighted average is taken over every target without a mask.  A
     target whose weight sum is not finite and positive is either an exact
@@ -517,31 +575,47 @@ def apply(operator: ResampleOperator, values) -> tuple[DenseField, dict]:
     and both kinds are overwritten after the average, so its value is
     never read.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype != np.float32:
+        values = values.astype(np.float64, copy=False)
     if values.ndim == 1:
         values = values[None, :]
     if values.ndim != 2 or values.shape[1] != operator.n_sources:
         raise FieldError(f"operator built for {operator.n_sources} sources, "
                          f"got values of shape {values.shape}")
-    anchor = values.take(operator.anchor, axis=1)
-    out = anchor
+    n_targets = len(operator.anchor)
+    out = np.empty((len(values), n_targets))
+    size = len(values) * min(_ROW_CHUNK, n_targets)
+    buffers = (np.empty(size, dtype=values.dtype),
+               np.empty(size), np.empty(size), np.empty(size))
 
-    if operator.weights is not None:
+    for rows in _row_chunks(n_targets):
+        shape = (len(values), rows.stop - rows.start)
+        gathered, anchor, numer, shifted = (
+            buffer[:shape[0] * shape[1]].reshape(shape) for buffer in buffers)
+        # every id is below n_sources (checked above): "clip" only spares
+        # take a buffer of its own
+        values.take(operator.anchor[rows], axis=1, out=gathered, mode="clip")
+        if operator.weights is None:
+            out[:, rows] = gathered
+            continue
         # nearest anchors a shifted accumulation: sum w (f - f0) / sum w + f0
         # is algebraically the weighted average but reproduces constant
         # fields bit-exactly.  Footprint columns are added left to right,
         # so each target's sum order is the same for 1 and 3 components
-        numer = np.zeros_like(anchor)
+        anchor[...] = gathered
+        numer[...] = 0.0
         for idx, weights in zip(operator.idx, operator.weights):
-            shifted = values.take(idx, axis=1)
-            shifted -= anchor
-            shifted *= weights
+            values.take(idx[rows], axis=1, out=gathered, mode="clip")
+            np.subtract(gathered, anchor, out=shifted)
+            shifted *= weights[rows]
             numer += shifted
         # no mask: the targets whose 0/0 or x/inf this leaves are
         # overwritten below
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = anchor + numer / operator.wsum
-        out[:, operator.exact_hit] = anchor[:, operator.exact_hit]
+            numer /= operator.wsum[rows]
+        np.add(anchor, numer, out=out[:, rows])
+        np.copyto(out[:, rows], anchor, where=operator.exact_hit[rows])
 
     out[:, operator.hole_rows] = values.take(operator.hole_sources, axis=1)
     dims = operator.target.dims

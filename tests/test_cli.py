@@ -940,6 +940,8 @@ from flowforge.cli import main
 
 overrides, scenes, sdf, case, out = json.loads(sys.argv[1])
 argvs = {
+    # one object a scene: no later slot queries a clearance vertex tree
+    "generate": ["generate", *overrides, "--out", out + "/scenes"],
     # one job: the scenes are voxelized in this interpreter
     "sdf": ["sdf", *overrides, "--in", scenes, "--out", out + "/sdf",
             "--jobs", "1"],
@@ -998,9 +1000,9 @@ print(json.dumps({"before": before,
 
 
 class TestStartupWithoutScipy:
-    """Only generate loads scipy, and resample only for its prefilter.
-    Each check runs in a fresh interpreter, because this one has scipy
-    loaded already."""
+    """Only generate loads scipy, for scenes of two or more objects, and
+    resample only for its prefilter.  Each check runs in a fresh
+    interpreter, because this one has scipy loaded already."""
 
     @staticmethod
     def fresh(code: str, *args) -> dict:
@@ -1035,8 +1037,19 @@ class TestStartupWithoutScipy:
         loaded = self.fresh(FORGE_WITHOUT_SCIPY,
                             json.dumps([SMALL_OVERRIDES, *paths]))
         assert loaded == {name: [0, []] for name in
-                          ("sdf", "orchestrate", "resample", "resample_radius",
-                           "gate", "report", "validate")}
+                          ("generate", "sdf", "orchestrate", "resample",
+                           "resample_radius", "gate", "report", "validate")}
+
+    def test_two_object_generate_loads_scipy_spatial(self, tmp_path):
+        # the second slot's clearance guard queries the first object's
+        # vertex tree
+        loaded = self.fresh(
+            "import json, sys\nfrom flowforge.cli import main\n"
+            "code = main(['generate', *json.loads(sys.argv[1])])\n"
+            "print(json.dumps([code, 'scipy.spatial' in sys.modules]))",
+            json.dumps([*SMALL_OVERRIDES, "number_of_objects=2",
+                        "--out", str(tmp_path / "scenes")]))
+        assert loaded == [0, True]
 
     def test_voxelize_under_threads_loads_no_scipy(self):
         # four threads voxelize at once: each gets the single-thread field,
